@@ -121,7 +121,7 @@ class Element:
         if len(coords) != algebra.dim:
             raise ValueError("coordinate length mismatch")
         self.algebra = algebra
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -198,7 +198,7 @@ def center_basis(alg):
     and output coordinate) and returns its nullspace as Elements.
     """
     if alg._center is not None:
-        return list(alg._center)
+        return [Element(alg, vec) for vec in alg._center]
     dim = alg.dim
     entries = []
     # row (i, k): sum_j z_j (b_j b_i - b_i b_j)_k = 0
@@ -213,9 +213,11 @@ def center_basis(alg):
                 if v:
                     entries.append((i * dim + k, j, v))
     mat = SparseMatrix(dim * dim, dim, entries)
-    basis = [Element(alg, vec) for vec in nullspace(mat)]
-    alg._center = tuple(basis)
-    return basis
+    # the cache holds coordinates, not Elements: an Element refers back to
+    # its algebra, and that cycle would keep every algebra alive until the
+    # cyclic garbage collector runs
+    alg._center = tuple(nullspace(mat))
+    return [Element(alg, vec) for vec in alg._center]
 
 
 def is_commutative(alg):

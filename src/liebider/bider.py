@@ -46,9 +46,14 @@ class MapLaw(enum.Enum):
 
 
 class BilinearMap:
-    """Sparse rank-3 coefficient tensor of a bilinear map on an algebra."""
+    """Sparse rank-3 coefficient tensor of a bilinear map on an algebra.
 
-    __slots__ = ("algebra", "_coeffs")
+    The nonzero coefficients live in one dict keyed by the flat tensor
+    index (i*dim + j)*dim + k, the order flat() uses; _rows() groups them
+    by basis pair for code that works slice by slice.
+    """
+
+    __slots__ = ("algebra", "_flat")
 
     def __init__(self, algebra, coeffs):
         self.algebra = algebra
@@ -58,11 +63,12 @@ class BilinearMap:
         for (i, j, k), v in items:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"coefficient index ({i},{j},{k}) out of range")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v == 0:
                 continue
-            store.setdefault((i, j), {})[k] = v
-        self._coeffs = store
+            store[(i * dim + j) * dim + k] = v
+        self._flat = store
 
     @classmethod
     def from_flat(cls, algebra, vec):
@@ -79,43 +85,52 @@ class BilinearMap:
         return cls(algebra, coeffs)
 
     def flat(self):
-        dim = self.algebra.dim
-        vec = [Fraction(0)] * dim ** 3
-        for (i, j), row in self._coeffs.items():
-            base = (i * dim + j) * dim
-            for k, v in row.items():
-                vec[base + k] = v
+        vec = [Fraction(0)] * self.algebra.dim ** 3
+        for f, v in self._flat.items():
+            vec[f] = v
         return tuple(vec)
 
+    def _rows(self):
+        """{(i, j): {k: coefficient}} over the pairs with a nonzero value."""
+        dim = self.algebra.dim
+        rows = {}
+        for f, v in self._flat.items():
+            ij, k = divmod(f, dim)
+            rows.setdefault(divmod(ij, dim), {})[k] = v
+        return rows
+
     def items(self):
+        dim = self.algebra.dim
         out = []
-        for (i, j), row in self._coeffs.items():
-            for k, v in row.items():
-                out.append((i, j, k, v))
-        out.sort(key=lambda t: t[:3])
+        for f in sorted(self._flat):
+            ij, k = divmod(f, dim)
+            i, j = divmod(ij, dim)
+            out.append((i, j, k, self._flat[f]))
         return out
 
     def value(self, i, j):
         """φ(b_i, b_j) as an Element."""
-        coords = [Fraction(0)] * self.algebra.dim
-        for k, v in self._coeffs.get((i, j), {}).items():
-            coords[k] = v
-        return Element(self.algebra, coords)
+        dim = self.algebra.dim
+        base = (i * dim + j) * dim
+        zero = Fraction(0)
+        return Element(self.algebra, [self._flat.get(base + k, zero) for k in range(dim)])
 
     def __call__(self, x, y):
         """Evaluate φ(x, y) by bilinear extension."""
         if x.algebra is not self.algebra or y.algebra is not self.algebra:
             raise ValueError("arguments from a different algebra")
-        out = [Fraction(0)] * self.algebra.dim
-        for (i, j), row in self._coeffs.items():
-            s = x.coords[i] * y.coords[j]
-            if s:
-                for k, v in row.items():
-                    out[k] += s * v
+        dim = self.algebra.dim
+        xc, yc = x.coords, y.coords
+        out = [Fraction(0)] * dim
+        for f, v in self._flat.items():
+            ij, k = divmod(f, dim)
+            i, j = divmod(ij, dim)
+            if xc[i] and yc[j]:
+                out[k] += xc[i] * yc[j] * v
         return Element(self.algebra, out)
 
     def is_zero(self):
-        return not self._coeffs
+        return not self._flat
 
     def __add__(self, other):
         if self.algebra is not other.algebra:
@@ -134,7 +149,7 @@ class BilinearMap:
 
     def __eq__(self, other):
         return (isinstance(other, BilinearMap) and self.algebra is other.algebra
-                and self._coeffs == other._coeffs)
+                and self._flat == other._flat)
 
     def __hash__(self):
         return hash((id(self.algebra), tuple(self.items())))

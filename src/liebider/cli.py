@@ -313,6 +313,23 @@ def _cmd_verify(args):
     lines.append(f"lemma31_quads: {len(quads)}")
     lines.append(f"lemma31_failures: {quad_failures}")
 
+    # every basis map is decomposed; an obstruction is reported, not fatal,
+    # since it is expected where the hypotheses fail
+    decomposed = 0
+    obstruction = None
+    for idx, phi in enumerate(maps):
+        try:
+            decompose(t, phi)
+        except (NotLieBider, NoCentralLambda, ResidualNotCentral) as exc:
+            if obstruction is None:
+                obstruction = {"map": idx, "error": type(exc).__name__}
+        else:
+            decomposed += 1
+    lines.append(f"decompositions: {decomposed}/{len(maps)}")
+    if obstruction is not None:
+        lines.append(f"witness decompose: map={obstruction['map']} "
+                     f"error={obstruction['error']}")
+
     lemma_fail = (any(counts[cid] != len(maps) for cid in check_ids)
                   or quad_failures > 0)
     if gate and lemma_fail:
@@ -340,6 +357,8 @@ def _cmd_verify(args):
         "diagonal_sign": d_sign,
         "lemma31": {"mode": mode, "quads": len(quads),
                     "failures": quad_failures},
+        "decompositions": {"decomposed": decomposed, "maps": len(maps),
+                           "first_obstruction": obstruction},
         "verdict": verdict,
     }
     _print_report(args.format, [f"elapsed_ms: {elapsed * 1000:.1f}"], lines, jdoc)

@@ -14,15 +14,29 @@ defining identities from scratch, and lemma_suite() runs the battery of
 structural identities on the Peirce components that any such map must
 satisfy, solving for the scalar alpha0 once and testing every basis pair.
 
+decompose(), verify_decomposition() and the law witness work on sparse
+{coordinate: Fraction} rows, never on dense Elements.  What does not depend
+on the map is built on the first decompose() of an algebra and cached in
+its _law_cache (see _Tables): the integer rows of the Lie derivation system
+for the law test, the bracket table [b_i, b_j], and the lambda0 system's
+coefficient matrix.  Each map then only supplies its right-hand side, so
+decomposing a whole space in a loop pays for the tables once, and nothing
+is built for an algebra that is never decomposed.  [b_i, [b_j, r]] and
+lambda0*[b_i, b_j] are read off the bracket table, linear in the support
+of r and lambda0.  verify_decomposition() rebuilds every value from the
+structure constants alone, so it shares no cached data with what it
+checks.
+
 Where the literature shows sign discrepancies between a statement and its
 proof, the suite tests both candidate signs and records which one holds,
 instead of silently picking a side.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .algebra import lie_bracket, multiply
-from .bider import BilinearMap, MapLaw, _derivation_system, law_residual
+from .algebra import Element, lie_bracket, multiply
+from .bider import BilinearMap, _derivation_system, _pair_table
 from .linalg import Inconsistent, SparseMatrix, solve
 from .triangular import NotInProjection, tau_inv
 
@@ -72,14 +86,80 @@ class Decomposition:
                 f"mu with {len(self.mu.items())} coefficients)")
 
 
-def _lie_deriv_rows(t):
-    # echelon rows of the single-argument Lie derivation system, cached on
-    # the triangular wrapper since every decompose call needs them
-    rows = t._law_cache.get("lie-deriv-rows")
-    if rows is None:
-        rows, _ = _derivation_system(t.alg, True)
-        t._law_cache["lie-deriv-rows"] = rows
-    return rows
+def _combine(terms):
+    """sum of c*row over (c, row) pairs of sparse rows, zeros dropped."""
+    out = {}
+    for c, row in terms:
+        for k, v in row.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _element(alg, row):
+    return Element(alg, [row.get(k, 0) for k in range(alg.dim)])
+
+
+class _Tables:
+    """Map-independent decomposition data of one triangular algebra.
+
+    law_rows are the echelon rows of the single-argument Lie derivation
+    system as (columns, integer values) pairs: the law test only asks
+    whether a dot product with them vanishes, so they are scaled to
+    integers.  bracket[(i, j)] is [b_i, b_j] as a sparse row.
+    lambda_system holds the lambda0 equations: one row per off-diagonal
+    coordinate (i, j, o) that some z_s*[b_i, b_j] reaches, numbered by
+    lambda_rows, with one column per center basis element z_s.  At every
+    other off-diagonal coordinate no lambda0 contributes, so the residual
+    itself has to vanish there.
+    """
+
+    __slots__ = ("law_rows", "bracket", "m_set", "lambda_rows", "lambda_system")
+
+    def __init__(self, t):
+        alg = t.alg
+        self.law_rows = []
+        for row in _derivation_system(alg, True)[0]:
+            den = lcm(*(v.denominator for v in row.values()))
+            ints = tuple(v.numerator * (den // v.denominator) for v in row.values())
+            self.law_rows.append((tuple(row), ints))
+        br = self.bracket = _pair_table(alg, True)
+        self.m_set = frozenset(t.m_indices)
+        eqs = {}
+        for s, z in enumerate(t.center):
+            zc = [(a, c) for a, c in enumerate(z.coords) if c]
+            for (i, j), row in br.items():
+                prod = _combine([(c * v, alg._mul_basis(a, p))
+                                 for a, c in zc for p, v in row.items()])
+                for o, c in prod.items():
+                    if o in self.m_set:
+                        eqs.setdefault((i, j, o), []).append((s, c))
+        self.lambda_rows = {key: n for n, key in enumerate(sorted(eqs))}
+        entries = [(n, s, c) for key, n in self.lambda_rows.items() for s, c in eqs[key]]
+        self.lambda_system = SparseMatrix(len(eqs), len(t.center), entries)
+
+    def extremal(self, r):
+        """{(i, j): [b_i, [b_j, r]]}, nonzero values only."""
+        br = self.bracket
+        empty = {}
+        dim = len(r.coords)
+        r_terms = [(k, c) for k, c in enumerate(r.coords) if c]
+        out = {}
+        for j in range(dim):
+            inner = _combine([(c, br.get((j, k), empty)) for k, c in r_terms])
+            if not inner:
+                continue
+            for i in range(dim):
+                row = _combine([(c, br.get((i, p), empty)) for p, c in inner.items()])
+                if row:
+                    out[(i, j)] = row
+        return out
+
+
+def _tables(t):
+    tab = t._law_cache.get("decomp-tables")
+    if tab is None:
+        tab = t._law_cache["decomp-tables"] = _Tables(t)
+    return tab
 
 
 def _slice_vector(coeffs, dim, fixed, first_fixed):
@@ -95,44 +175,56 @@ def _slice_vector(coeffs, dim, fixed, first_fixed):
     return vec
 
 
-def _law_witness(phi):
-    """First basis triple where a slot identity breaks, for the error."""
-    alg = phi.algebra
-    basis = [alg.basis_element(i) for i in range(alg.dim)]
+def _law_witness(t, c):
+    """First basis triple where a slot identity breaks, for the error.
+
+    c is the map as rows {(i, j): {k: coefficient}}.  Scans (i, j, l) in
+    order and tests slot 1 before slot 2, as
+    law_residual(phi, MapLaw.LIE_BIDER, (b_i, b_j, b_l)) would."""
+    alg = t.alg
+    br = _tables(t).bracket
     labels = alg.basis_labels
+    empty = {}
     for i in range(alg.dim):
         for j in range(alg.dim):
+            pij = c.get((i, j), empty)
             for l in range(alg.dim):
-                trip = (basis[i], basis[j], basis[l])
-                r1, r2 = law_residual(phi, MapLaw.LIE_BIDER, trip)
-                if not r1.is_zero():
-                    return (1, (labels[i], labels[j], labels[l]), r1)
-                if not r2.is_zero():
-                    return (2, (labels[i], labels[j], labels[l]), r2)
+                # phi([b_i, b_l], b_j) - [phi(b_i, b_j), b_l] - [b_i, phi(b_l, b_j)]
+                r1 = _combine(
+                    [(v, c.get((p, j), empty)) for p, v in br.get((i, l), empty).items()]
+                    + [(-v, br.get((k, l), empty)) for k, v in pij.items()]
+                    + [(-v, br.get((i, k), empty)) for k, v in c.get((l, j), empty).items()])
+                if r1:
+                    return (1, (labels[i], labels[j], labels[l]), _element(alg, r1))
+                # phi(b_i, [b_j, b_l]) - [phi(b_i, b_j), b_l] - [b_j, phi(b_i, b_l)]
+                r2 = _combine(
+                    [(v, c.get((i, p), empty)) for p, v in br.get((j, l), empty).items()]
+                    + [(-v, br.get((k, l), empty)) for k, v in pij.items()]
+                    + [(-v, br.get((j, k), empty)) for k, v in c.get((i, l), empty).items()])
+                if r2:
+                    return (2, (labels[i], labels[j], labels[l]), _element(alg, r2))
     return None
 
 
-def _require_lie_bider(t, phi):
+def _require_lie_bider(t, coeffs):
     # a slot obeys its law iff every slice with that slot's partner index
     # fixed is a Lie derivation, so membership against the derivation
     # system's row space settles it without assembling dim^4 constraints
-    rows = _lie_deriv_rows(t)
+    rows = _tables(t).law_rows
     dim = t.alg.dim
-    coeffs = phi._coeffs
     for first_fixed in (False, True):
         for fixed in range(dim):
             vec = _slice_vector(coeffs, dim, fixed, first_fixed)
             if not vec:
                 continue
-            for row in rows:
-                s = Fraction(0)
-                for col, cv in row.items():
+            for cols, vals in rows:
+                s = 0
+                for col, cv in zip(cols, vals):
                     v = vec.get(col)
                     if v:
-                        s += cv * v
+                        s += v * cv
                 if s:
-                    witness = _law_witness(phi)
-                    raise NotLieBider(witness)
+                    raise NotLieBider(_law_witness(t, coeffs))
 
 
 def decompose(t, phi):
@@ -147,55 +239,55 @@ def decompose(t, phi):
     """
     if phi.algebra is not t.alg:
         raise ValueError("map does not live on this algebra")
-    _require_lie_bider(t, phi)
+    coeffs = phi._rows()
+    _require_lie_bider(t, coeffs)
 
     alg = t.alg
     dim = alg.dim
-    basis = [alg.basis_element(i) for i in range(dim)]
+    tab = _tables(t)
+    empty = {}
     r = phi(t.e, t.e)
+    ext = tab.extremal(r)
+    # phi minus its extremal part: what lambda0*[., .] + mu must account for
+    rest = {}
+    for key in coeffs.keys() | ext.keys():
+        row = _combine([(1, coeffs.get(key, empty)), (-1, ext.get(key, empty))])
+        if row:
+            rest[key] = row
 
-    cen = t.center
-    nc = len(cen)
-    entries = []
-    rhs = []
-    nrow = 0
-    brackets = {}
-    for i in range(dim):
-        for j in range(dim):
-            br = lie_bracket(basis[i], basis[j])
-            brackets[(i, j)] = br
-            target = phi.value(i, j) - lie_bracket(basis[i], lie_bracket(basis[j], r))
-            for o in t.m_indices:
-                for s in range(nc):
-                    c = multiply(cen[s], br).coords[o]
-                    if c:
-                        entries.append((nrow, s, c))
-                rhs.append(target.coords[o])
-                nrow += 1
+    no_lambda = "no central element matches the off-diagonal residual"
+    rhs = [0] * len(tab.lambda_rows)
+    for (i, j), row in rest.items():
+        for o, v in row.items():
+            if o in tab.m_set:
+                n = tab.lambda_rows.get((i, j, o))
+                if n is None:
+                    raise NoCentralLambda(no_lambda)
+                rhs[n] = v
     try:
-        sol = solve(SparseMatrix(nrow, nc, entries), rhs)
+        sol = solve(tab.lambda_system, rhs)
     except Inconsistent as exc:
-        raise NoCentralLambda(
-            "no central element matches the off-diagonal residual") from exc
+        raise NoCentralLambda(no_lambda) from exc
 
     lambda0 = alg.zero()
-    for s in range(nc):
+    for s, z in enumerate(t.center):
         if sol[s]:
-            lambda0 = lambda0 + cen[s].scale(sol[s])
+            lambda0 = lambda0 + z.scale(sol[s])
 
+    lam = [(a, -c) for a, c in enumerate(lambda0.coords) if c]
     mu_items = []
     for i in range(dim):
         for j in range(dim):
-            val = (phi.value(i, j)
-                   - multiply(lambda0, brackets[(i, j)])
-                   - lie_bracket(basis[i], lie_bracket(basis[j], r)))
-            if val.is_zero():
+            key = (i, j)
+            val = _combine([(1, rest.get(key, empty))]
+                           + [(c * v, alg._mul_basis(a, p))
+                              for a, c in lam for p, v in tab.bracket.get(key, empty).items()])
+            if not val:
                 continue
-            if not t.is_central(val):
-                raise ResidualNotCentral((i, j, val))
-            for k, v in enumerate(val.coords):
-                if v:
-                    mu_items.append((i, j, k, v))
+            el = _element(alg, val)
+            if not t.is_central(el):
+                raise ResidualNotCentral((i, j, el))
+            mu_items.extend((i, j, k, v) for k, v in val.items())
     mu = BilinearMap(alg, mu_items)
 
     d = Decomposition(lambda0, r, mu)
@@ -215,18 +307,28 @@ def verify_decomposition(t, phi, d):
         return False
     if not t.is_central(d.lambda0):
         return False
-    dim = alg.dim
-    basis = [alg.basis_element(i) for i in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            mv = d.mu.value(i, j)
-            if not (mv.is_zero() or t.is_central(mv)):
-                return False
-            br = lie_bracket(basis[i], basis[j])
-            rebuilt = (multiply(d.lambda0, br)
-                       + lie_bracket(basis[i], lie_bracket(basis[j], d.r))
-                       + mv)
-            if phi.value(i, j) != rebuilt:
+    mu = d.mu._rows()
+    for row in mu.values():
+        if not t.is_central(_element(alg, row)):
+            return False
+    empty = {}
+
+    def bracket_basis(i, terms):
+        # [b_i, x] for x = sum of c*b_k over (k, c) in terms
+        return _combine([(c, alg._mul_basis(i, k)) for k, c in terms]
+                        + [(-c, alg._mul_basis(k, i)) for k, c in terms])
+
+    rows = phi._rows()
+    lam = [(a, c) for a, c in enumerate(d.lambda0.coords) if c]
+    r_terms = [(k, c) for k, c in enumerate(d.r.coords) if c]
+    inner = [bracket_basis(j, r_terms) for j in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            bij = bracket_basis(i, [(j, 1)])
+            rebuilt = _combine(
+                [(c * v, alg._mul_basis(a, p)) for a, c in lam for p, v in bij.items()]
+                + [(1, bracket_basis(i, inner[j].items())), (1, mu.get((i, j), empty))])
+            if rebuilt != rows.get((i, j), empty):
                 return False
     return True
 

@@ -34,9 +34,14 @@ def _pair(v):
     return [v.numerator, v.denominator]
 
 
+def _is_int(x):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _unpair(obj, what):
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, int) for x in obj)):
+            or not all(_is_int(x) for x in obj)):
         raise SchemaError(f"{what}: expected an [num, den] integer pair")
     if obj[1] == 0:
         raise SchemaError(f"{what}: zero denominator")
@@ -76,7 +81,7 @@ def algebra_from_doc(doc):
     if doc.get("schema") != ALGEBRA_SCHEMA:
         raise SchemaError(f"unsupported algebra schema {doc.get('schema')!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SchemaError("dim must be a positive integer")
     labels = doc.get("basis_labels")
     if (not isinstance(labels, list) or len(labels) != dim
@@ -90,6 +95,8 @@ def algebra_from_doc(doc):
         if not isinstance(row, list) or len(row) != 5:
             raise SchemaError("structure rows must be [i, j, k, num, den]")
         i, j, k = row[:3]
+        if not all(_is_int(x) for x in (i, j, k)):
+            raise SchemaError(f"structure indices ({i},{j},{k}) must be integers")
         items.append((i, j, k, _unpair(row[3:], "structure constant")))
     unit = doc.get("unit")
     if not isinstance(unit, list) or len(unit) != dim:
@@ -168,7 +175,9 @@ def load_map(path, alg, expected_fpr):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != MAP_SCHEMA:
+    if not isinstance(doc, dict):
+        raise SchemaError("map document must be an object")
+    if doc.get("schema") != MAP_SCHEMA:
         raise SchemaError(f"unsupported map schema {doc.get('schema')!r}")
     fpr = doc.get("algebra_fingerprint")
     if fpr != expected_fpr:
@@ -183,7 +192,7 @@ def load_map(path, alg, expected_fpr):
         if not isinstance(row, list) or len(row) != 5:
             raise SchemaError("coeff rows must be [i, j, k, num, den]")
         i, j, k = row[:3]
-        if not all(isinstance(x, int) and 0 <= x < alg.dim for x in (i, j, k)):
+        if not all(_is_int(x) and 0 <= x < alg.dim for x in (i, j, k)):
             raise SchemaError(f"coeff indices ({i},{j},{k}) out of range")
         items.append((i, j, k, _unpair(row[3:], "coefficient")))
     return BilinearMap(alg, items)
@@ -203,7 +212,7 @@ def load_poset(path):
     if not isinstance(doc, dict):
         raise SchemaError("poset document must be an object")
     size = doc.get("size")
-    if not isinstance(size, int) or size < 1:
+    if not _is_int(size) or size < 1:
         raise SchemaError("size must be a positive integer")
     covers = doc.get("covers")
     if not isinstance(covers, list):
@@ -211,7 +220,7 @@ def load_poset(path):
     pairs = []
     for row in covers:
         if (not isinstance(row, list) or len(row) != 2
-                or not all(isinstance(x, int) for x in row)):
+                or not all(_is_int(x) for x in row)):
             raise SchemaError("covers must be a list of [a, b] pairs")
         pairs.append((row[0], row[1]))
     try:

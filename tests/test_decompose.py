@@ -149,6 +149,17 @@ def test_verify_rejects_non_central_lambda(t3, t3_space):
     assert not verify_decomposition(t3, phi, Decomposition(t3.e, d.r, d.mu))
 
 
+def test_verify_rejects_non_central_mu_that_reconstructs(t3, t3_space):
+    phi = t3_space[0]
+    d = decompose(t3, phi)
+    e13 = t3.alg.basis_element(t3.m_indices[0])   # not central
+    # move an extremal part from r into mu: phi is rebuilt exactly, but mu
+    # now takes values in eTf
+    bad = Decomposition(d.lambda0, d.r + e13, d.mu - make_extremal(t3, e13))
+    assert reassemble(t3, bad) == phi
+    assert not verify_decomposition(t3, phi, bad)
+
+
 def test_residual_not_central_formatting():
     err = ResidualNotCentral((0, 1, "value"))
     assert err.witness == (0, 1, "value")

@@ -10,10 +10,10 @@ import pytest
 from liebider import BilinearMap, MapLaw, multiply, solve_space
 from liebider.cli import main
 from liebider.serialize import (FingerprintMismatch, SchemaError,
-                                algebra_fingerprint, canonical_json,
-                                fingerprint, load_algebra, load_map,
-                                load_poset, load_triangular, save_algebra,
-                                save_map)
+                                algebra_fingerprint, algebra_to_doc,
+                                canonical_json, fingerprint, load_algebra,
+                                load_map, load_poset, load_triangular,
+                                map_to_doc, save_algebra, save_map)
 
 
 def write_json(path, doc):
@@ -252,6 +252,37 @@ def test_decompose_fingerprint_mismatch(tmp_path, capsys, t3_file, t3):
     assert "FingerprintMismatch" in err
 
 
+def test_decompose_list_shaped_map_is_input_error(tmp_path, capsys, t3_file, t3):
+    fpr = algebra_fingerprint(t3.alg, t3.e)
+    doc = map_to_doc(BilinearMap(t3.alg, {(0, 0, 0): 1}), fpr)
+    path = write_json(tmp_path / "list.json", doc["coeffs"])
+    code, _, err = run_cli(capsys, "decompose", t3_file, path)
+    assert code == 2
+    assert "SchemaError" in err
+    assert "Traceback" not in err
+
+
+def test_float_structure_index_is_input_error(tmp_path, capsys, t3):
+    doc = algebra_to_doc(t3.alg, t3.e)
+    doc["structure"][0][0] = float(doc["structure"][0][0])
+    path = write_json(tmp_path / "float.json", doc)
+    for command in ("center", "hypotheses"):
+        code, _, err = run_cli(capsys, command, path)
+        assert code == 2, command
+        assert "structure indices" in err
+        assert "Traceback" not in err
+
+
+def test_bool_numerator_is_input_error(tmp_path, capsys, t3):
+    doc = algebra_to_doc(t3.alg, t3.e)
+    doc["structure"][0][3] = True
+    path = write_json(tmp_path / "bool.json", doc)
+    code, _, err = run_cli(capsys, "center", path)
+    assert code == 2
+    assert "integer pair" in err
+    assert "Traceback" not in err
+
+
 # -- cli: verify ------------------------------------------------------------------
 
 def test_verify_t3_passes(capsys, t3_file):
@@ -266,6 +297,8 @@ def test_verify_t3_passes(capsys, t3_file):
     assert "lemma31_failures: 0" in lines
     assert "b_side_sign: -1" in lines
     assert "diagonal_sign: +1" in lines
+    assert "decompositions: 11/11" in lines
+    assert not any(ln.startswith("witness decompose:") for ln in lines)
 
 
 def test_verify_t2_reports_unmet_hypotheses(capsys, t2_file):
@@ -277,6 +310,10 @@ def test_verify_t2_reports_unmet_hypotheses(capsys, t2_file):
     assert "check 3.4: 6/8" in lines
     assert "check 3.6: 7/8" in lines
     assert any(ln.startswith("witness 3.4: ") for ln in lines)
+    # maps 2, 3 and 5 have no central lambda0; verify still runs to the end
+    assert "decompositions: 5/8" in lines
+    assert "witness decompose: map=2 error=NoCentralLambda" in lines
+    assert lines[-1] == "verdict: hypotheses not met"
 
 
 def test_verify_body_is_deterministic(capsys, t2_file):
@@ -296,6 +333,9 @@ def test_verify_json_format(capsys, t2_file):
     assert doc["lemma_checks"]["3.4"] == 6
     assert doc["solution_dims"]["lie-bider"] == 8
     assert doc["hypotheses"]["cond_ii"] is False
+    assert doc["decompositions"] == {
+        "decomposed": 5, "maps": 8,
+        "first_obstruction": {"map": 2, "error": "NoCentralLambda"}}
 
 
 # -- cli: center and hypotheses -----------------------------------------------------
