@@ -9,7 +9,6 @@ supporting component identities verified exactly.
 """
 
 from .linalg import (
-    Fraction,
     Inconsistent,
     RowReducer,
     SparseMatrix,
@@ -75,7 +74,7 @@ from .decomp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Fraction", "Inconsistent", "RowReducer", "SparseMatrix", "SpanChecker",
+    "Inconsistent", "RowReducer", "SparseMatrix", "SpanChecker",
     "canonical_basis", "nullspace", "nullspace_from_reducer", "rref", "solve",
     "Element", "FiniteAlgebra", "MixedAlgebras", "center_basis",
     "is_commutative", "lie_bracket", "multiply",

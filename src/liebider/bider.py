@@ -6,8 +6,9 @@ derivation in one argument) is a homogeneous linear condition on the tensor,
 so the full solution space is a nullspace.  constraint_matrix assembles the
 naive system over all dim³ unknowns; solve_space exploits the slice
 structure of the laws (each one says certain dim²-slices are single-argument
-derivations) and then rewrites its answer in the canonical kernel basis, so
-both routes agree exactly.
+derivations), keeps every vector a sparse {flat index: value} dict up to the
+stored maps, and rewrites its answer in the canonical kernel basis, so both
+routes agree exactly.
 """
 
 import enum
@@ -72,17 +73,18 @@ class BilinearMap:
 
     @classmethod
     def from_flat(cls, algebra, vec):
-        dim = algebra.dim
-        if len(vec) != dim ** 3:
+        if len(vec) != algebra.dim ** 3:
             raise ValueError("flat vector length mismatch")
-        coeffs = {}
-        for idx, v in enumerate(vec):
-            if v:
-                k = idx % dim
-                j = (idx // dim) % dim
-                i = idx // (dim * dim)
-                coeffs[(i, j, k)] = v
-        return cls(algebra, coeffs)
+        flat = {f: Fraction(v) for f, v in enumerate(vec) if v}
+        return cls._of(algebra, {f: v for f, v in flat.items() if v})
+
+    @classmethod
+    def _of(cls, algebra, flat):
+        """Wrap a {flat index: nonzero Fraction} dict as is, without checks."""
+        phi = cls.__new__(cls)
+        phi.algebra = algebra
+        phi._flat = flat
+        return phi
 
     def flat(self):
         vec = [Fraction(0)] * self.algebra.dim ** 3
@@ -135,17 +137,17 @@ class BilinearMap:
     def __add__(self, other):
         if self.algebra is not other.algebra:
             raise ValueError("maps on different algebras")
-        coeffs = {(i, j, k): v for (i, j, k, v) in self.items()}
-        for (i, j, k, v) in other.items():
-            coeffs[(i, j, k)] = coeffs.get((i, j, k), Fraction(0)) + v
-        return BilinearMap(self.algebra, coeffs)
+        out = dict(self._flat)
+        for f, v in other._flat.items():
+            out[f] = out.get(f, 0) + v
+        return BilinearMap._of(self.algebra, {f: v for f, v in out.items() if v})
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, s):
         s = Fraction(s)
-        return BilinearMap(self.algebra, {(i, j, k): s * v for (i, j, k, v) in self.items()})
+        return BilinearMap._of(self.algebra, {f: s * v for f, v in self._flat.items()} if s else {})
 
     def __eq__(self, other):
         return (isinstance(other, BilinearMap) and self.algebra is other.algebra
@@ -155,7 +157,7 @@ class BilinearMap:
         return hash((id(self.algebra), tuple(self.items())))
 
     def __repr__(self):
-        return f"BilinearMap({len(self.items())} coefficients)"
+        return f"BilinearMap({len(self._flat)} coefficients)"
 
 
 def _pair_table(alg, lie):
@@ -270,18 +272,18 @@ def _derivation_system(alg, lie):
             for p, v in tab.get((a, c), {}).items():
                 for q in range(dim):
                     rows.setdefault(q, {})
-                    rows[q][p * dim + q] = rows[q].get(p * dim + q, Fraction(0)) + v
+                    rows[q][p * dim + q] = rows[q].get(p * dim + q, 0) + v
             for k in range(dim):
                 row = tab.get((k, c))
                 if row:
                     for q, v in row.items():
                         rows.setdefault(q, {})
-                        rows[q][a * dim + k] = rows[q].get(a * dim + k, Fraction(0)) - v
+                        rows[q][a * dim + k] = rows[q].get(a * dim + k, 0) - v
                 row = tab.get((a, k))
                 if row:
                     for q, v in row.items():
                         rows.setdefault(q, {})
-                        rows[q][c * dim + k] = rows[q].get(c * dim + k, Fraction(0)) - v
+                        rows[q][c * dim + k] = rows[q].get(c * dim + k, 0) - v
             for q in sorted(rows):
                 r = {c2: v for c2, v in rows[q].items() if v}
                 if r:
@@ -296,68 +298,71 @@ def solve_space(alg, law):
     Uses the slice structure: a slot obeys its law iff every slice of the
     tensor along that slot's fixed index is a single-argument derivation.
     The two-sided laws reduce to a system over slice coordinates in the
-    derivation space, far smaller than the naive dim³ system.  The final
-    basis is canonicalized to equal nullspace(constraint_matrix(alg, law)).
+    derivation space, far smaller than the naive dim³ system.  Both routes
+    emit sparse {flat index: value} vectors, canonicalized (still sparse) to
+    equal nullspace(constraint_matrix(alg, law)) and stored as the maps.
     """
     dim = alg.dim
     ech, deriv = _derivation_system(alg, law.lie)
-    nd = len(deriv)
+    slices = []  # slices[s][a] = {k: v}: d_s(b_a) = Σ_k v·b_k
+    for d in deriv:
+        sl = [dict() for _ in range(dim)]
+        for flat, v in enumerate(d):
+            if v:
+                a, k = divmod(flat, dim)
+                sl[a][k] = v
+        slices.append(sl)
+    nd = len(slices)
     first, second = law.slots
     vectors = []
     if first != second:
-        # one-sided law: independent derivation slices
+        # one-sided law: independent derivation slices along the free index
         for l in range(dim):
-            for d in deriv:
-                vec = [Fraction(0)] * dim ** 3
-                for flat, v in enumerate(d):
-                    if v:
-                        a, k = divmod(flat, dim)
-                        if first:
-                            vec[(a * dim + l) * dim + k] = v   # slice over second index
-                        else:
-                            vec[(l * dim + a) * dim + k] = v   # slice over first index
+            for sl in slices:
+                vec = {}
+                for a, part in enumerate(sl):
+                    base = (a * dim + l) * dim if first else (l * dim + a) * dim
+                    vec.update((base + k, v) for k, v in part.items())
                 vectors.append(vec)
     elif nd:
         # t[i][j][k] = Σ_s x[i][s]·D_s[j][k]; impose that every second-index
         # slice is itself a derivation, via the echelon rows of the system
-        slices = []  # slices[s][l] = {k: v}
-        for d in deriv:
-            sl = [dict() for _ in range(dim)]
-            for flat, v in enumerate(d):
-                if v:
-                    a, k = divmod(flat, dim)
-                    sl[a][k] = v
-            slices.append(sl)
+        grouped = []  # each echelon row as [(a, [(k, v)])]
+        for row in ech:
+            parts = {}
+            for flat, v in row.items():
+                a, k = divmod(flat, dim)
+                parts.setdefault(a, []).append((k, v))
+            grouped.append(list(parts.items()))
         red = RowReducer(dim * nd)
         for l in range(dim):
-            for row in ech:
-                grouped = {}
-                for flat, v in row.items():
-                    a, k = divmod(flat, dim)
-                    grouped.setdefault(a, {})[k] = v
+            by_k = {}  # k -> [(s, D_s[l][k])]
+            for s, sl in enumerate(slices):
+                for k, w in sl[l].items():
+                    by_k.setdefault(k, []).append((s, w))
+            for parts in grouped:
                 out = {}
-                for a, part in grouped.items():
-                    for s in range(nd):
-                        sl = slices[s][l]
-                        acc = Fraction(0)
-                        for k, v in part.items():
-                            w = sl.get(k)
-                            if w:
-                                acc += v * w
-                        if acc:
-                            out[a * nd + s] = acc
+                for a, part in parts:
+                    acc = {}
+                    for k, v in part:
+                        for s, w in by_k.get(k, ()):
+                            acc[s] = acc[s] + v * w if s in acc else v * w
+                    for s, c in acc.items():
+                        if c:
+                            out[a * nd + s] = c
                 if out:
                     red.add_fraction_row(out)
         for x in nullspace_from_reducer(red, dim * nd):
-            vec = [Fraction(0)] * dim ** 3
+            vec = {}
             for flat, c in enumerate(x):
                 if c:
                     a, s = divmod(flat, nd)
-                    for j in range(dim):
-                        for k, v in slices[s][j].items():
-                            vec[(a * dim + j) * dim + k] += c * v
+                    for j, part in enumerate(slices[s]):
+                        base = (a * dim + j) * dim
+                        for k, v in part.items():
+                            vec[base + k] = vec.get(base + k, 0) + c * v
             vectors.append(vec)
-    return [BilinearMap.from_flat(alg, vec) for vec in canonical_basis(vectors, dim ** 3)]
+    return [BilinearMap._of(alg, vec) for vec in canonical_basis(vectors, dim ** 3)]
 
 
 def make_inner(t, lam):

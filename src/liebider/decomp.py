@@ -17,11 +17,12 @@ satisfy, solving for the scalar alpha0 once and testing every basis pair.
 decompose(), verify_decomposition() and the law witness work on sparse
 {coordinate: Fraction} rows, never on dense Elements.  What does not depend
 on the map is built on the first decompose() of an algebra and cached in
-its _law_cache (see _Tables): the integer rows of the Lie derivation system
-for the law test, the bracket table [b_i, b_j], and the lambda0 system's
-coefficient matrix.  Each map then only supplies its right-hand side, so
-decomposing a whole space in a loop pays for the tables once, and nothing
-is built for an algebra that is never decomposed.  [b_i, [b_j, r]] and
+its _law_cache (see _Tables): the Lie derivation system for the law test
+(integer rows, and a mask of the coordinates it forces to vanish), the
+bracket table [b_i, b_j], and the lambda0 system's coefficient matrix.
+Each map then only supplies its right-hand side, so decomposing a whole
+space in a loop pays for the tables once, and nothing is built for an
+algebra that is never decomposed.  [b_i, [b_j, r]] and
 lambda0*[b_i, b_j] are read off the bracket table, linear in the support
 of r and lambda0.  verify_decomposition() rebuilds every value from the
 structure constants alone, so it shares no cached data with what it
@@ -87,11 +88,16 @@ class Decomposition:
 
 
 def _combine(terms):
-    """sum of c*row over (c, row) pairs of sparse rows, zeros dropped."""
+    """sum of c*row over (c, row) pairs of sparse rows, zeros dropped.
+
+    A value with coefficient 1 that meets no other term is stored as it
+    is: Fractions are immutable, so the result may share it."""
     out = {}
     for c, row in terms:
         for k, v in row.items():
-            out[k] = out.get(k, 0) + c * v
+            if c != 1:
+                v = c * v
+            out[k] = out[k] + v if k in out else v
     return {k: v for k, v in out.items() if v}
 
 
@@ -103,9 +109,11 @@ class _Tables:
     """Map-independent decomposition data of one triangular algebra.
 
     law_rows are the echelon rows of the single-argument Lie derivation
-    system as (columns, integer values) pairs: the law test only asks
-    whether a dot product with them vanishes, so they are scaled to
-    integers.  bracket[(i, j)] is [b_i, b_j] as a sparse row.
+    system with two or more entries, as (columns, integer values) pairs:
+    the law test only asks whether a dot product with them vanishes, so
+    they are scaled to integers.  A row with one entry only says that its
+    coordinate vanishes; zero_cols[c] is 1 for those coordinates c of a
+    slice and 0 elsewhere.  bracket[(i, j)] is [b_i, b_j] as a sparse row.
     lambda_system holds the lambda0 equations: one row per off-diagonal
     coordinate (i, j, o) that some z_s*[b_i, b_j] reaches, numbered by
     lambda_rows, with one column per center basis element z_s.  At every
@@ -113,15 +121,20 @@ class _Tables:
     itself has to vanish there.
     """
 
-    __slots__ = ("law_rows", "bracket", "m_set", "lambda_rows", "lambda_system")
+    __slots__ = ("law_rows", "zero_cols", "bracket", "m_set", "lambda_rows", "lambda_system")
 
     def __init__(self, t):
         alg = t.alg
         self.law_rows = []
+        zero = set()
         for row in _derivation_system(alg, True)[0]:
+            if len(row) == 1:
+                zero.update(row)
+                continue
             den = lcm(*(v.denominator for v in row.values()))
             ints = tuple(v.numerator * (den // v.denominator) for v in row.values())
             self.law_rows.append((tuple(row), ints))
+        self.zero_cols = bytes(c in zero for c in range(alg.dim ** 2))
         br = self.bracket = _pair_table(alg, True)
         self.m_set = frozenset(t.m_indices)
         eqs = {}
@@ -210,13 +223,17 @@ def _require_lie_bider(t, coeffs):
     # a slot obeys its law iff every slice with that slot's partner index
     # fixed is a Lie derivation, so membership against the derivation
     # system's row space settles it without assembling dim^4 constraints
-    rows = _tables(t).law_rows
+    tab = _tables(t)
+    rows, zero_cols = tab.law_rows, tab.zero_cols
     dim = t.alg.dim
     for first_fixed in (False, True):
         for fixed in range(dim):
             vec = _slice_vector(coeffs, dim, fixed, first_fixed)
             if not vec:
                 continue
+            for col in vec:
+                if zero_cols[col]:
+                    raise NotLieBider(_law_witness(t, coeffs))
             for cols, vals in rows:
                 s = 0
                 for col, cv in zip(cols, vals):
@@ -264,10 +281,14 @@ def decompose(t, phi):
                 if n is None:
                     raise NoCentralLambda(no_lambda)
                 rhs[n] = v
+    # raised outside the handler, so the error does not chain Inconsistent
+    # and with it the solver's frames and row reduction
     try:
         sol = solve(tab.lambda_system, rhs)
-    except Inconsistent as exc:
-        raise NoCentralLambda(no_lambda) from exc
+    except Inconsistent:
+        sol = None
+    if sol is None:
+        raise NoCentralLambda(no_lambda)
 
     lambda0 = alg.zero()
     for s, z in enumerate(t.center):

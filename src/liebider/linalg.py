@@ -219,7 +219,7 @@ class RowReducer:
         den = 1
         for v in row.values():
             den = den * v.denominator // gcd(den, v.denominator)
-        return self.add_row({c: int(v * den) for c, v in row.items() if v})
+        return self.add_row({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
 
     @property
     def rank(self):
@@ -231,8 +231,8 @@ class RowReducer:
         out = []
         for i in order:
             row = self.pivrows[i]
-            pv = Fraction(row[self.pivcols[i]])
-            out.append({c: Fraction(v) / pv for c, v in row.items()})
+            pv = row[self.pivcols[i]]
+            out.append({c: Fraction(v, pv) for c, v in row.items()})
         return out
 
     def sorted_pivcols(self):
@@ -342,25 +342,21 @@ class SpanChecker:
         return not self.red.reduce_only({c: int(v * den) for c, v in row.items()})
 
 
-def canonical_basis(vectors, ncols):
-    """Rewrite a spanning list of vectors as the canonical kernel-style basis.
+def canonical_basis(rows, ncols):
+    """Rewrite a spanning list of sparse vectors as the canonical kernel-style basis.
 
-    The output is the unique basis of span(vectors) in which each vector has
-    trailing coordinate 1 at a distinct column, zeros at the other vectors'
-    trailing columns, and the list is sorted by trailing column.  For the
-    kernel of any matrix this is exactly what nullspace() returns, so a
-    solver may produce a kernel basis by any route and canonicalize here.
-    Implemented as RREF under reversed column order.
+    rows are {col: value} dicts.  The output is the unique basis of their
+    span in which each vector has trailing coordinate 1 at a distinct
+    column, zeros at the other vectors' trailing columns, and the list is
+    sorted by trailing column; each vector is a {col: Fraction} dict of its
+    nonzero entries in ascending column order.  For the kernel of any matrix
+    this is what nullspace() returns, so a solver may produce a kernel basis
+    by any route and canonicalize here.  RREF under reversed column order.
     """
     red = RowReducer(ncols)
     last = ncols - 1
-    for vec in vectors:
-        red.add_fraction_row({last - c: Fraction(v) for c, v in enumerate(vec) if v})
-    out = []
-    for row in red.echelon_rows():
-        v = [Fraction(0)] * ncols
-        for c, val in row.items():
-            v[last - c] = val
-        out.append(tuple(v))
+    for row in rows:
+        red.add_fraction_row({last - c: Fraction(v) for c, v in row.items() if v})
+    out = [dict(sorted((last - c, v) for c, v in row.items())) for row in red.echelon_rows()]
     out.reverse()  # engine pivot ascending = trailing column descending
     return out

@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NotCentral,
-                      NotVanishing, SpanChecker, constraint_matrix,
-                      law_residual, lemma31_residual, lie_bracket,
-                      make_central, make_extremal, make_inner, nullspace,
-                      solve_space, upper_triangular)
+                      NotVanishing, Poset, SpanChecker, block_upper_triangular,
+                      constraint_matrix, incidence_algebra, law_residual,
+                      lemma31_residual, lie_bracket, make_central,
+                      make_extremal, make_inner, nullspace, solve_space,
+                      upper_triangular)
 
 ALL_LAWS = list(MapLaw)
 
@@ -69,6 +70,8 @@ def test_map_arithmetic(t2):
     assert (b - a).items() == [(0, 0, 0, 1), (1, 1, 1, 1)]
     assert a.scale(0).is_zero()
     assert (a + a) == a.scale(2)
+    assert (b - b).is_zero()
+    assert repr(b) == "BilinearMap(2 coefficients)"
 
 
 # -- constraint_matrix -------------------------------------------------------
@@ -135,6 +138,26 @@ def test_sliced_solver_matches_full_system_block(block21):
     got = [phi.flat() for phi in solve_space(block21.alg, MapLaw.LIE_BIDER)]
     assert len(got) == 5
     assert got == direct
+
+
+SOLVER_ALGEBRAS = {
+    "t3": lambda: upper_triangular(3, 2),
+    "v": lambda: incidence_algebra(Poset(3, [(1, 3), (2, 3)]), [1, 2]),
+    "block21": lambda: block_upper_triangular([2, 1], 1),
+    "diamond": lambda: incidence_algebra(
+        Poset(4, [(1, 2), (1, 3), (2, 4), (3, 4)]), [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.value)
+@pytest.mark.parametrize("name", SOLVER_ALGEBRAS)
+def test_sparse_solver_matches_full_system(name, law):
+    alg = SOLVER_ALGEBRAS[name]().alg
+    space = solve_space(alg, law)
+    assert [phi.flat() for phi in space] == nullspace(constraint_matrix(alg, law))
+    for phi in space:
+        assert list(phi._flat) == sorted(phi._flat)
+        assert phi == BilinearMap.from_flat(alg, phi.flat())
 
 
 def test_block_assoc_dimension(block21):

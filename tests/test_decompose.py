@@ -6,9 +6,9 @@ import pytest
 
 from liebider import (BilinearMap, Decomposition, LemmaReport, MapLaw,
                       NoCentralLambda, NotLieBider, ResidualNotCentral,
-                      decompose, lemma_suite, lie_bracket, make_central,
-                      make_extremal, make_inner, multiply, solve_space,
-                      verify_decomposition)
+                      SpanChecker, decompose, lemma_suite, lie_bracket,
+                      make_central, make_extremal, make_inner, multiply,
+                      solve_space, verify_decomposition)
 
 
 def reassemble(t, d):
@@ -127,6 +127,32 @@ def test_hypothesis_violating_maps_fail_lambda_stage(t2, t2_space):
     # components no central lambda0 can match
     assert outcomes == ["ok", "ok", "no-lambda", "no-lambda",
                         "ok", "no-lambda", "ok", "ok"]
+
+
+def test_law_test_matches_space_membership_at_every_coordinate(t3, t3_space):
+    # a unit change at one coordinate leaves the space exactly when the
+    # solved basis stops spanning the map, whether the derivation system
+    # forces that coordinate to vanish on its own or ties it to others
+    dim = t3.alg.dim
+    span = SpanChecker([m.flat() for m in t3_space], dim ** 3)
+    for f in range(dim ** 3):
+        phi = t3_space[0] + BilinearMap.from_flat(t3.alg, [int(x == f) for x in range(dim ** 3)])
+        try:
+            decompose(t3, phi)
+            rejected = False
+        except NotLieBider:
+            rejected = True
+        except (NoCentralLambda, ResidualNotCentral):
+            rejected = False
+        assert rejected == (not span.contains(phi.flat())), f
+
+
+def test_no_central_lambda_chains_no_solver_error(t2, t2_space):
+    # map 3's lambda0 system is inconsistent: the error must not keep the
+    # solver's exception (and its frames) as context
+    with pytest.raises(NoCentralLambda) as exc:
+        decompose(t2, t2_space[3])
+    assert exc.value.__context__ is None
 
 
 def test_verify_rejects_perturbed_mu(t3, t3_space):
