@@ -4,11 +4,23 @@ An algebra is a basis b_0..b_{dim-1} plus the sparse tensor c[i][j][k] with
 b_i b_j = sum_k c[i][j][k] b_k and the coordinates of the unit.  Construction
 validates associativity on all basis triples and the unit law, so anything
 that survives the constructor really is an associative unital algebra.
+
+This module is also the structure-table layer that the solver, the
+decomposition and the checks share.  The product table {(i, j): {k: c}} is
+the algebra's own _prod.  Each algebra keeps one lazily filled cache, _cache,
+for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
+integer echelon form of the single-argument derivation system of each law
+kind (_derivations, built once per kind) and the center's coordinates.
+Cached values are ints, Fractions, bytes, dicts and tuples only, never
+Elements or the algebra itself, so an algebra stays free of reference
+cycles.  They are shared, not copied: callers read them and never change
+them.  Element arithmetic (multiply, lie_bracket) stays independent of the
+tables, for the checks that recompute from the structure constants.
 """
 
 from fractions import Fraction
 
-from .linalg import SparseMatrix, nullspace
+from .linalg import RowReducer, SparseMatrix, nullspace
 
 
 class MixedAlgebras(Exception):
@@ -17,7 +29,7 @@ class MixedAlgebras(Exception):
 
 class FiniteAlgebra:
 
-    __slots__ = ("dim", "basis_labels", "unit", "_prod", "_center")
+    __slots__ = ("dim", "basis_labels", "unit", "_prod", "_cache")
 
     def __init__(self, dim, basis_labels, structure, unit):
         if dim <= 0:
@@ -42,7 +54,7 @@ class FiniteAlgebra:
         if len(unit) != dim:
             raise ValueError("unit length mismatch")
         self.unit = tuple(Fraction(u) for u in unit)
-        self._center = None
+        self._cache = {}
         self._validate()
 
     def _mul_basis(self, i, j):
@@ -191,38 +203,124 @@ def lie_bracket(x, y):
     return multiply(x, y) - multiply(y, x)
 
 
+def _combine(terms):
+    """sum of c*row over (c, row) pairs of sparse rows, zeros dropped.
+
+    A value with coefficient 1 that meets no other term is stored as it
+    is: Fractions are immutable, so the result may share it."""
+    out = {}
+    for c, row in terms:
+        for k, v in row.items():
+            if c != 1:
+                v = c * v
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
+
+
+def _cached(alg, key, build):
+    value = alg._cache.get(key)
+    if value is None:
+        value = alg._cache[key] = build(alg)
+    return value
+
+
+def _bracket_table(alg):
+    prod = alg._prod
+    tab = {}
+    for i, j in sorted(prod.keys() | {(j, i) for i, j in prod}):
+        row = _combine([(1, prod.get((i, j), {})), (-1, prod.get((j, i), {}))])
+        if row:
+            tab[(i, j)] = row
+    return tab
+
+
+def _brackets(alg):
+    """The bracket table {(i, j): {k: c}} of [b_i, b_j], nonzero rows only,
+    in lexicographic (i, j) order."""
+    return _cached(alg, "brackets", _bracket_table)
+
+
+def _table(alg, lie):
+    """The table of the law kind: brackets if lie, else the products."""
+    return _brackets(alg) if lie else alg._prod
+
+
+def _identity_rows(tab, dim, a, c):
+    """The derivation identity d(b_a o b_c) - d(b_a) o b_c - b_a o d(b_c),
+    o read from tab, over the unknowns d[a'][k] (flat a'*dim + k, with
+    d(b_a') = sum_k d[a'][k] b_k): one (q, {unknown: coefficient}) row per
+    output coordinate q, ascending, zero rows left out."""
+    rows = {}
+
+    def put(q, col, v):
+        row = rows.setdefault(q, {})
+        row[col] = row.get(col, 0) + v
+
+    for p, v in tab.get((a, c), {}).items():
+        for q in range(dim):
+            put(q, p * dim + q, v)
+    for k in range(dim):
+        for q, v in tab.get((k, c), {}).items():
+            put(q, a * dim + k, -v)
+        for q, v in tab.get((a, k), {}).items():
+            put(q, c * dim + k, -v)
+    out = []
+    for q in sorted(rows):
+        row = {col: v for col, v in rows[q].items() if v}
+        if row:
+            out.append((q, row))
+    return out
+
+
+def _derivation_system(alg, lie):
+    """Echelon form of the single-argument derivation law, in integers.
+
+    The identity rows at all basis pairs (a, c), o the bracket or the
+    product, reduced.  Returns (zero, rows).  An echelon row with one entry
+    only says that its column vanishes: zero[col] is 1 for those columns
+    and 0 elsewhere.  rows are the other echelon rows, in pivot order, as
+    (columns, values) pairs with the columns ascending (pivot first) and
+    the RowReducer's gcd-normalized integer values (pivot positive): each
+    is an integer multiple of its RREF row.
+    """
+    dim = alg.dim
+    tab = _table(alg, lie)
+    red = RowReducer(dim * dim)
+    for a in range(dim):
+        for c in range(dim):
+            for _, row in _identity_rows(tab, dim, a, c):
+                red.add_fraction_row(row)
+    rows = [tuple(zip(*sorted(row.items()))) for row in red.pivrows]
+    zero = {cols[0] for cols, _ in rows if len(cols) == 1}
+    return (bytes(c in zero for c in range(dim * dim)),
+            tuple(sorted(row for row in rows if len(row[0]) > 1)))
+
+
+def _derivations(alg, lie):
+    """_derivation_system(alg, lie), built once per algebra and law kind."""
+    return _cached(alg, ("derivations", lie), lambda a: _derivation_system(a, lie))
+
+
 def center_basis(alg):
     """Canonical basis of {z : [z, b_i] = 0 for every basis element}.
 
     Assembles the stacked adjoint-action matrix (one row per basis element
-    and output coordinate) and returns its nullspace as Elements.
+    and output coordinate) from the bracket table and returns its nullspace
+    as Elements.
     """
-    if alg._center is not None:
-        return [Element(alg, vec) for vec in alg._center]
-    dim = alg.dim
-    entries = []
-    # row (i, k): sum_j z_j (b_j b_i - b_i b_j)_k = 0
-    for i in range(dim):
-        for j in range(dim):
-            row = {}
-            for k, v in alg._mul_basis(j, i).items():
-                row[k] = row.get(k, 0) + v
-            for k, v in alg._mul_basis(i, j).items():
-                row[k] = row.get(k, 0) - v
-            for k, v in row.items():
-                if v:
-                    entries.append((i * dim + k, j, v))
-    mat = SparseMatrix(dim * dim, dim, entries)
     # the cache holds coordinates, not Elements: an Element refers back to
     # its algebra, and that cycle would keep every algebra alive until the
     # cyclic garbage collector runs
-    alg._center = tuple(nullspace(mat))
-    return [Element(alg, vec) for vec in alg._center]
+    return [Element(alg, vec) for vec in _cached(alg, "center", _center_coords)]
+
+
+def _center_coords(alg):
+    dim = alg.dim
+    # row (i, k): sum_j z_j [b_j, b_i]_k = 0
+    entries = [(i * dim + k, j, v)
+               for (j, i), row in _brackets(alg).items() for k, v in row.items()]
+    return tuple(nullspace(SparseMatrix(dim * dim, dim, entries)))
 
 
 def is_commutative(alg):
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            if alg._mul_basis(i, j) != alg._mul_basis(j, i):
-                return False
-    return True
+    return not _brackets(alg)

@@ -8,13 +8,19 @@ naive system over all dim³ unknowns; solve_space exploits the slice
 structure of the laws (each one says certain dim²-slices are single-argument
 derivations), keeps every vector a sparse {flat index: value} dict up to the
 stored maps, and rewrites its answer in the canonical kernel basis, so both
-routes agree exactly.
+routes agree exactly.  Both read the algebra's cached structure tables
+(algebra.py): the bracket or product table, and for solve_space the echelon
+rows of the derivation system, whose kernel it reads off directly.
+lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
+basis quadruple on the bracket table; lemma31_residual is the
+Element-arithmetic reference it is tested against.
 """
 
 import enum
 from fractions import Fraction
 
-from .algebra import Element, lie_bracket, multiply
+from .algebra import (Element, _brackets, _combine, _derivations, _identity_rows, _table,
+                      lie_bracket, multiply)
 from .linalg import RowReducer, SparseMatrix, canonical_basis, nullspace_from_reducer
 
 
@@ -160,76 +166,6 @@ class BilinearMap:
         return f"BilinearMap({len(self._flat)} coefficients)"
 
 
-def _pair_table(alg, lie):
-    """Products (or brackets) of basis pairs as {(i,j): {k: coeff}}."""
-    dim = alg.dim
-    tab = {}
-    for i in range(dim):
-        for j in range(dim):
-            if lie:
-                row = dict(alg._mul_basis(i, j))
-                for k, v in alg._mul_basis(j, i).items():
-                    nv = row.get(k, Fraction(0)) - v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-            else:
-                row = dict(alg._mul_basis(i, j))
-            if row:
-                tab[(i, j)] = row
-    return tab
-
-
-def _slot_rows(dim, tab, i, j, l, first_slot):
-    """Constraint rows (one per output coordinate) for one law identity.
-
-    first_slot: φ(x∘z, y) − φ(x,y)∘z − x∘φ(z,y) at x=b_i, z=b_j, y=b_l.
-    second slot: φ(x, y∘z) − φ(x,y)∘z − y∘φ(x,z) at x=b_i, y=b_j, z=b_l.
-    ∘ is the bracket or the product depending on the table.  Returns
-    {q: {flat unknown: coeff}} with zero rows omitted.
-    """
-    rows = {}
-
-    def put(q, col, v):
-        rows.setdefault(q, {})
-        rows[q][col] = rows[q].get(col, Fraction(0)) + v
-
-    if first_slot:
-        for p, v in tab.get((i, j), {}).items():
-            base = (p * dim + l) * dim
-            for q in range(dim):
-                put(q, base + q, v)
-        for k in range(dim):
-            row = tab.get((k, j))
-            if row:
-                base = (i * dim + l) * dim + k
-                for q, v in row.items():
-                    put(q, base, -v)
-            row = tab.get((i, k))
-            if row:
-                base = (j * dim + l) * dim + k
-                for q, v in row.items():
-                    put(q, base, -v)
-    else:
-        for p, v in tab.get((j, l), {}).items():
-            base = (i * dim + p) * dim
-            for q in range(dim):
-                put(q, base + q, v)
-        for k in range(dim):
-            row = tab.get((k, l))
-            if row:
-                base = (i * dim + j) * dim + k
-                for q, v in row.items():
-                    put(q, base, -v)
-            row = tab.get((j, k))
-            if row:
-                base = (i * dim + l) * dim + k
-                for q, v in row.items():
-                    put(q, base, -v)
-    return {q: {c: v for c, v in r.items() if v} for q, r in rows.items()}
-
-
 def constraint_matrix(alg, law):
     """Full linear system over the dim³ tensor unknowns for the given law.
 
@@ -239,57 +175,51 @@ def constraint_matrix(alg, law):
     the law.
     """
     dim = alg.dim
-    tab = _pair_table(alg, law.lie)
-    first, second = law.slots
+    tab = _table(alg, law.lie)
     entries = []
     nrow = 0
-    for slot_first in ([True] if not second else ([True, False] if first else [False])):
+    for slot_first, on in zip((True, False), law.slots):
+        if not on:
+            continue
         for i in range(dim):
             for j in range(dim):
                 for l in range(dim):
-                    rows = _slot_rows(dim, tab, i, j, l, slot_first)
-                    for q in range(dim):
-                        for col, v in rows.get(q, {}).items():
+                    # slot 1 at (x, z, y) = (b_i, b_j, b_l) is the derivation
+                    # identity of the slice φ(., b_l) at (b_i, b_j); slot 2 at
+                    # (x, y, z) = (b_i, b_j, b_l) that of φ(b_i, .) at (b_j, b_l)
+                    a, c = (i, j) if slot_first else (j, l)
+                    for q, row in _identity_rows(tab, dim, a, c):
+                        for u, v in row.items():
+                            a2, k = divmod(u, dim)
+                            col = (a2 * dim + l if slot_first else i * dim + a2) * dim + k
                             entries.append((nrow + q, col, v))
-                        # row index advances even when the row is empty
-                    nrow += dim
+                    nrow += dim  # row index advances even when a row is empty
     return SparseMatrix(nrow, dim ** 3, entries)
 
 
-def _derivation_system(alg, lie):
-    """RREF rows and kernel basis of the single-argument derivation law.
+def _derivation_slices(zero, rows, dim):
+    """Kernel basis of the derivation system, read off its echelon form.
 
-    Unknowns d[a][k] flat a·dim+k with d(b_a) = Σ_k d[a][k] b_k; constraint
-    d(b_a ∘ b_c) = d(b_a)∘b_c + b_a∘d(b_c) at all pairs.  Returns (echelon
-    rows as dicts, kernel basis as flat tuples).
+    One vector per free column f in ascending order: 1 at f, the other free
+    columns 0, -row[f]/row[p] at each pivot p.  Each vector is returned as
+    its slice [{k: v} for each a]: d(b_a) = sum_k v*b_k.
     """
-    dim = alg.dim
-    tab = _pair_table(alg, lie)
-    red = RowReducer(dim * dim)
-    for a in range(dim):
-        for c in range(dim):
-            rows = {}
-            for p, v in tab.get((a, c), {}).items():
-                for q in range(dim):
-                    rows.setdefault(q, {})
-                    rows[q][p * dim + q] = rows[q].get(p * dim + q, 0) + v
-            for k in range(dim):
-                row = tab.get((k, c))
-                if row:
-                    for q, v in row.items():
-                        rows.setdefault(q, {})
-                        rows[q][a * dim + k] = rows[q].get(a * dim + k, 0) - v
-                row = tab.get((a, k))
-                if row:
-                    for q, v in row.items():
-                        rows.setdefault(q, {})
-                        rows[q][c * dim + k] = rows[q].get(c * dim + k, 0) - v
-            for q in sorted(rows):
-                r = {c2: v for c2, v in rows[q].items() if v}
-                if r:
-                    red.add_fraction_row(r)
-    kernel = nullspace_from_reducer(red, dim * dim)
-    return red.echelon_rows(), kernel
+    pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
+    solved = {}  # free column f -> [(pivot p, -row[f]/row[p])]
+    for cols, vals in rows:
+        for c, v in zip(cols[1:], vals[1:]):
+            if c not in pivots:
+                solved.setdefault(c, []).append((cols[0], Fraction(-v, vals[0])))
+    slices = []
+    for f in range(dim * dim):
+        if f in pivots:
+            continue
+        sl = [dict() for _ in range(dim)]
+        for flat, v in sorted(solved.get(f, []) + [(f, Fraction(1))]):
+            a, k = divmod(flat, dim)
+            sl[a][k] = v
+        slices.append(sl)
+    return slices
 
 
 def solve_space(alg, law):
@@ -298,20 +228,15 @@ def solve_space(alg, law):
     Uses the slice structure: a slot obeys its law iff every slice of the
     tensor along that slot's fixed index is a single-argument derivation.
     The two-sided laws reduce to a system over slice coordinates in the
-    derivation space, far smaller than the naive dim³ system.  Both routes
-    emit sparse {flat index: value} vectors, canonicalized (still sparse) to
-    equal nullspace(constraint_matrix(alg, law)) and stored as the maps.
+    derivation space, far smaller than the naive dim³ system.  The
+    derivation system comes from the algebra's table cache, so the laws of
+    one kind share it.  Both routes emit sparse {flat index: value} vectors,
+    canonicalized (still sparse) to equal nullspace(constraint_matrix(alg,
+    law)) and stored as the maps.
     """
     dim = alg.dim
-    ech, deriv = _derivation_system(alg, law.lie)
-    slices = []  # slices[s][a] = {k: v}: d_s(b_a) = Σ_k v·b_k
-    for d in deriv:
-        sl = [dict() for _ in range(dim)]
-        for flat, v in enumerate(d):
-            if v:
-                a, k = divmod(flat, dim)
-                sl[a][k] = v
-        slices.append(sl)
+    zero, rows = _derivations(alg, law.lie)
+    slices = _derivation_slices(zero, rows, dim)  # slices[s][a] = {k: v}: d_s(b_a) = Σ_k v·b_k
     nd = len(slices)
     first, second = law.slots
     vectors = []
@@ -326,11 +251,12 @@ def solve_space(alg, law):
                 vectors.append(vec)
     elif nd:
         # t[i][j][k] = Σ_s x[i][s]·D_s[j][k]; impose that every second-index
-        # slice is itself a derivation, via the echelon rows of the system
-        grouped = []  # each echelon row as [(a, [(k, v)])]
-        for row in ech:
+        # slice is itself a derivation, via the (integer) echelon rows of the
+        # system: a row's scale does not change the reduced rows
+        grouped = []  # each echelon row as [(a, [(k, v)])], in pivot order
+        for cols, vals in sorted([((c,), (1,)) for c, z in enumerate(zero) if z] + list(rows)):
             parts = {}
-            for flat, v in row.items():
+            for flat, v in zip(cols, vals):
                 a, k = divmod(flat, dim)
                 parts.setdefault(a, []).append((k, v))
             grouped.append(list(parts.items()))
@@ -463,3 +389,31 @@ def lemma31_residual(phi, quad):
             + lie_bracket(phi(x, b), lie_bracket(y, a))
             + lie_bracket(phi(y, a), lie_bracket(x, b))
             - lie_bracket(phi(y, b), lie_bracket(x, a)))
+
+
+def lemma31_failures(phi):
+    """The number of basis quadruples (x, y, a, b), out of all dim⁴, at
+    which lemma31_residual(phi, ...) is nonzero.
+
+    The residual is a signed sum of four terms [φ(b_p, b_q), [b_s, b_t]],
+    and such a term vanishes unless φ(b_p, b_q) and [b_s, b_t] are both
+    nonzero.  So the sweep visits only those pairs, on the bracket table,
+    and adds each term to the residuals of the quadruples it enters: a
+    quadruple that no term reaches has residual zero.
+    """
+    br = _brackets(phi.algebra)
+    residuals = {}
+    for (p, q), val in phi._rows().items():
+        for (s, t), row in br.items():
+            term = _combine([(c * w, br[(k, m)]) for k, c in val.items()
+                             for m, w in row.items() if (k, m) in br])
+            if not term:
+                continue
+            # the term at (x, a, b, y), (x, b, y, a), (y, a, x, b) and,
+            # subtracted, at (y, b, x, a) of the quadruple (x, y, a, b)
+            for quad, sign in (((p, t, q, s), 1), ((p, s, t, q), 1),
+                               ((s, p, q, t), 1), ((s, p, t, q), -1)):
+                acc = residuals.setdefault(quad, {})
+                for o, v in term.items():
+                    acc[o] = acc[o] + sign * v if o in acc else sign * v
+    return sum(1 for acc in residuals.values() if any(acc.values()))

@@ -11,27 +11,20 @@ from fractions import Fraction
 import argparse
 import json
 import os
-import random
 import sys
 import time
 
 from .algebra import center_basis
-from .bider import MapLaw, lemma31_residual, solve_space
+from .bider import MapLaw, lemma31_failures, solve_space
 from .decomp import (NoCentralLambda, NotLieBider, ResidualNotCentral,
                      decompose, lemma_suite, verify_decomposition)
 from .serialize import (FingerprintMismatch, SchemaError, algebra_fingerprint,
-                        load_algebra, load_map, load_poset, save_algebra,
-                        save_map)
-from .triangular import (ConstructionError, TriangularAlgebra,
-                         block_upper_triangular, hypothesis_report,
-                         incidence_algebra, upper_triangular)
+                        load_algebra, load_map, load_poset, load_triangular,
+                        save_algebra, save_map)
+from .triangular import (ConstructionError, block_upper_triangular,
+                         hypothesis_report, incidence_algebra, upper_triangular)
 
 LAW_CHOICES = [law.value for law in MapLaw]
-
-# exhaustive quadruple sweeps above this many combinations switch to a
-# seeded sample so verify stays interactive on larger algebras
-QUAD_LIMIT = 2000
-QUAD_SAMPLE = 1000
 
 
 def _coords_text(coords):
@@ -50,17 +43,6 @@ def _print_report(fmt, headers, lines, doc):
     else:
         for ln in lines:
             print(ln)
-
-
-def _load_triangular_file(path):
-    alg, e = load_algebra(path)
-    if e is None:
-        raise SchemaError("algebra file carries no idempotent_e")
-    try:
-        t = TriangularAlgebra(alg, e)
-    except ValueError as exc:
-        raise SchemaError(f"triangularity validation failed: {exc}") from exc
-    return t, algebra_fingerprint(alg, e)
 
 
 def _csv_ints(text, what):
@@ -159,8 +141,8 @@ def _witness_lines(exc):
 
 def _cmd_decompose(args):
     t0 = time.perf_counter()
-    t, fpr = _load_triangular_file(args.algebra)
-    phi = load_map(args.map, t.alg, fpr)
+    t = load_triangular(args.algebra)
+    phi = load_map(args.map, t.alg, algebra_fingerprint(t.alg, t.e))
     try:
         d = decompose(t, phi)
     except (NotLieBider, NoCentralLambda, ResidualNotCentral) as exc:
@@ -233,23 +215,9 @@ def _aggregate_sign(signs):
     return "mixed"
 
 
-def _quad_indices(dim):
-    if dim ** 4 <= QUAD_LIMIT:
-        mode = "exhaustive"
-        quads = [(x, y, a, b)
-                 for x in range(dim) for y in range(dim)
-                 for a in range(dim) for b in range(dim)]
-    else:
-        mode = "sampled"
-        rnd = random.Random(0)
-        quads = [tuple(rnd.randrange(dim) for _ in range(4))
-                 for _ in range(QUAD_SAMPLE)]
-    return mode, quads
-
-
 def _cmd_verify(args):
     t0 = time.perf_counter()
-    t, _ = _load_triangular_file(args.algebra)
+    t = load_triangular(args.algebra)
     alg = t.alg
     hr = hypothesis_report(t)
     gate = hr.all_pass()
@@ -301,16 +269,10 @@ def _cmd_verify(args):
     lines.append(f"b_side_sign: {b_sign}")
     lines.append(f"diagonal_sign: {d_sign}")
 
-    mode, quads = _quad_indices(alg.dim)
-    basis = [alg.basis_element(i) for i in range(alg.dim)]
-    quad_failures = 0
-    for phi in maps:
-        for (x, y, a, b) in quads:
-            if not lemma31_residual(phi, (basis[x], basis[y],
-                                          basis[a], basis[b])).is_zero():
-                quad_failures += 1
-    lines.append(f"lemma31_mode: {mode}")
-    lines.append(f"lemma31_quads: {len(quads)}")
+    quads = alg.dim ** 4
+    quad_failures = sum(lemma31_failures(phi) for phi in maps)
+    lines.append("lemma31_mode: exhaustive")
+    lines.append(f"lemma31_quads: {quads}")
     lines.append(f"lemma31_failures: {quad_failures}")
 
     # every basis map is decomposed; an obstruction is reported, not fatal,
@@ -355,7 +317,7 @@ def _cmd_verify(args):
                       for cid in first_witness},
         "b_side_sign": b_sign,
         "diagonal_sign": d_sign,
-        "lemma31": {"mode": mode, "quads": len(quads),
+        "lemma31": {"mode": "exhaustive", "quads": quads,
                     "failures": quad_failures},
         "decompositions": {"decomposed": decomposed, "maps": len(maps),
                            "first_obstruction": obstruction},
@@ -377,7 +339,7 @@ def _cmd_center(args):
 
 
 def _cmd_hypotheses(args):
-    t, _ = _load_triangular_file(args.algebra)
+    t = load_triangular(args.algebra)
     hr = hypothesis_report(t)
     lines = [f"algebra: {args.algebra}"] + _hypothesis_lines(hr)
     jdoc = {"algebra": args.algebra, "hypotheses": _hypothesis_doc(hr)}

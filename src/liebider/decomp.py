@@ -15,18 +15,18 @@ structural identities on the Peirce components that any such map must
 satisfy, solving for the scalar alpha0 once and testing every basis pair.
 
 decompose(), verify_decomposition() and the law witness work on sparse
-{coordinate: Fraction} rows, never on dense Elements.  What does not depend
-on the map is built on the first decompose() of an algebra and cached in
-its _law_cache (see _Tables): the Lie derivation system for the law test
-(integer rows, and a mask of the coordinates it forces to vanish), the
-bracket table [b_i, b_j], and the lambda0 system's coefficient matrix.
-Each map then only supplies its right-hand side, so decomposing a whole
-space in a loop pays for the tables once, and nothing is built for an
-algebra that is never decomposed.  [b_i, [b_j, r]] and
-lambda0*[b_i, b_j] are read off the bracket table, linear in the support
-of r and lambda0.  verify_decomposition() rebuilds every value from the
-structure constants alone, so it shares no cached data with what it
-checks.
+{coordinate: Fraction} rows, never on dense Elements.  The law test and
+the extraction read the algebra's structure tables (see algebra.py): the
+bracket table [b_i, b_j] and the integer echelon form of the Lie
+derivation system, the same cached form solve_space uses, so solving and
+decomposing on one algebra build it once.  The lambda0 system's
+coefficient matrix depends on the triangular structure; it is built on
+the first decompose() and cached in t._law_cache (see _Tables).  Each map
+then only supplies its right-hand side, so decomposing a whole space in a
+loop pays for the tables once.  [b_i, [b_j, r]] and lambda0*[b_i, b_j] are read off
+the bracket table, linear in the support of r and lambda0.
+verify_decomposition() rebuilds every value from the structure constants
+alone, so it shares no cached data with what it checks.
 
 Where the literature shows sign discrepancies between a statement and its
 proof, the suite tests both candidate signs and records which one holds,
@@ -34,10 +34,9 @@ instead of silently picking a side.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from .algebra import Element, lie_bracket, multiply
-from .bider import BilinearMap, _derivation_system, _pair_table
+from .algebra import Element, _brackets, _combine, _derivations, lie_bracket, multiply
+from .bider import BilinearMap
 from .linalg import Inconsistent, SparseMatrix, solve
 from .triangular import NotInProjection, tau_inv
 
@@ -87,20 +86,6 @@ class Decomposition:
                 f"mu with {len(self.mu.items())} coefficients)")
 
 
-def _combine(terms):
-    """sum of c*row over (c, row) pairs of sparse rows, zeros dropped.
-
-    A value with coefficient 1 that meets no other term is stored as it
-    is: Fractions are immutable, so the result may share it."""
-    out = {}
-    for c, row in terms:
-        for k, v in row.items():
-            if c != 1:
-                v = c * v
-            out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if v}
-
-
 def _element(alg, row):
     return Element(alg, [row.get(k, 0) for k in range(alg.dim)])
 
@@ -108,39 +93,24 @@ def _element(alg, row):
 class _Tables:
     """Map-independent decomposition data of one triangular algebra.
 
-    law_rows are the echelon rows of the single-argument Lie derivation
-    system with two or more entries, as (columns, integer values) pairs:
-    the law test only asks whether a dot product with them vanishes, so
-    they are scaled to integers.  A row with one entry only says that its
-    coordinate vanishes; zero_cols[c] is 1 for those coordinates c of a
-    slice and 0 elsewhere.  bracket[(i, j)] is [b_i, b_j] as a sparse row.
-    lambda_system holds the lambda0 equations: one row per off-diagonal
+    The law test reads the Lie derivation system and the bracket table
+    from the algebra's table cache; this class keeps only the lambda0
+    equations.  lambda_system holds them: one row per off-diagonal
     coordinate (i, j, o) that some z_s*[b_i, b_j] reaches, numbered by
     lambda_rows, with one column per center basis element z_s.  At every
     other off-diagonal coordinate no lambda0 contributes, so the residual
     itself has to vanish there.
     """
 
-    __slots__ = ("law_rows", "zero_cols", "bracket", "m_set", "lambda_rows", "lambda_system")
+    __slots__ = ("m_set", "lambda_rows", "lambda_system")
 
     def __init__(self, t):
         alg = t.alg
-        self.law_rows = []
-        zero = set()
-        for row in _derivation_system(alg, True)[0]:
-            if len(row) == 1:
-                zero.update(row)
-                continue
-            den = lcm(*(v.denominator for v in row.values()))
-            ints = tuple(v.numerator * (den // v.denominator) for v in row.values())
-            self.law_rows.append((tuple(row), ints))
-        self.zero_cols = bytes(c in zero for c in range(alg.dim ** 2))
-        br = self.bracket = _pair_table(alg, True)
         self.m_set = frozenset(t.m_indices)
         eqs = {}
         for s, z in enumerate(t.center):
             zc = [(a, c) for a, c in enumerate(z.coords) if c]
-            for (i, j), row in br.items():
+            for (i, j), row in _brackets(alg).items():
                 prod = _combine([(c * v, alg._mul_basis(a, p))
                                  for a, c in zc for p, v in row.items()])
                 for o, c in prod.items():
@@ -150,22 +120,22 @@ class _Tables:
         entries = [(n, s, c) for key, n in self.lambda_rows.items() for s, c in eqs[key]]
         self.lambda_system = SparseMatrix(len(eqs), len(t.center), entries)
 
-    def extremal(self, r):
-        """{(i, j): [b_i, [b_j, r]]}, nonzero values only."""
-        br = self.bracket
-        empty = {}
-        dim = len(r.coords)
-        r_terms = [(k, c) for k, c in enumerate(r.coords) if c]
-        out = {}
-        for j in range(dim):
-            inner = _combine([(c, br.get((j, k), empty)) for k, c in r_terms])
-            if not inner:
-                continue
-            for i in range(dim):
-                row = _combine([(c, br.get((i, p), empty)) for p, c in inner.items()])
-                if row:
-                    out[(i, j)] = row
-        return out
+
+def _extremal(alg, r):
+    """{(i, j): [b_i, [b_j, r]]}, nonzero values only."""
+    br = _brackets(alg)
+    empty = {}
+    r_terms = [(k, c) for k, c in enumerate(r.coords) if c]
+    out = {}
+    for j in range(alg.dim):
+        inner = _combine([(c, br.get((j, k), empty)) for k, c in r_terms])
+        if not inner:
+            continue
+        for i in range(alg.dim):
+            row = _combine([(c, br.get((i, p), empty)) for p, c in inner.items()])
+            if row:
+                out[(i, j)] = row
+    return out
 
 
 def _tables(t):
@@ -195,7 +165,7 @@ def _law_witness(t, c):
     order and tests slot 1 before slot 2, as
     law_residual(phi, MapLaw.LIE_BIDER, (b_i, b_j, b_l)) would."""
     alg = t.alg
-    br = _tables(t).bracket
+    br = _brackets(alg)
     labels = alg.basis_labels
     empty = {}
     for i in range(alg.dim):
@@ -223,8 +193,8 @@ def _require_lie_bider(t, coeffs):
     # a slot obeys its law iff every slice with that slot's partner index
     # fixed is a Lie derivation, so membership against the derivation
     # system's row space settles it without assembling dim^4 constraints
-    tab = _tables(t)
-    rows, zero_cols = tab.law_rows, tab.zero_cols
+    # zero[col] marks the echelon rows that only say col vanishes
+    zero, rows = _derivations(t.alg, True)
     dim = t.alg.dim
     for first_fixed in (False, True):
         for fixed in range(dim):
@@ -232,7 +202,7 @@ def _require_lie_bider(t, coeffs):
             if not vec:
                 continue
             for col in vec:
-                if zero_cols[col]:
+                if zero[col]:
                     raise NotLieBider(_law_witness(t, coeffs))
             for cols, vals in rows:
                 s = 0
@@ -264,7 +234,7 @@ def decompose(t, phi):
     tab = _tables(t)
     empty = {}
     r = phi(t.e, t.e)
-    ext = tab.extremal(r)
+    ext = _extremal(alg, r)
     # phi minus its extremal part: what lambda0*[., .] + mu must account for
     rest = {}
     for key in coeffs.keys() | ext.keys():
@@ -296,13 +266,14 @@ def decompose(t, phi):
             lambda0 = lambda0 + z.scale(sol[s])
 
     lam = [(a, -c) for a, c in enumerate(lambda0.coords) if c]
+    br = _brackets(alg)
     mu_items = []
     for i in range(dim):
         for j in range(dim):
             key = (i, j)
             val = _combine([(1, rest.get(key, empty))]
                            + [(c * v, alg._mul_basis(a, p))
-                              for a, c in lam for p, v in tab.bracket.get(key, empty).items()])
+                              for a, c in lam for p, v in br.get(key, empty).items()])
             if not val:
                 continue
             el = _element(alg, val)

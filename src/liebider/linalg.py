@@ -214,12 +214,18 @@ class RowReducer:
         self._index(ri, row)
         return piv
 
-    def add_fraction_row(self, row):
-        """add_row for a {col: Fraction} dict: clears denominators first."""
+    @staticmethod
+    def integer_row(row):
+        """A {col: Fraction} dict times the lcm of its denominators, as
+        {col: int} without zeros."""
         den = 1
         for v in row.values():
             den = den * v.denominator // gcd(den, v.denominator)
-        return self.add_row({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
+        return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+
+    def add_fraction_row(self, row):
+        """add_row for a {col: Fraction} dict: clears denominators first."""
+        return self.add_row(self.integer_row(row))
 
     @property
     def rank(self):
@@ -332,14 +338,8 @@ class SpanChecker:
         return self.red.rank
 
     def contains(self, vec):
-        row = {}
-        den = 1
-        for c, v in enumerate(vec):
-            if v:
-                v = Fraction(v)
-                row[c] = v
-                den = den * v.denominator // gcd(den, v.denominator)
-        return not self.red.reduce_only({c: int(v * den) for c, v in row.items()})
+        row = {c: Fraction(v) for c, v in enumerate(vec) if v}
+        return not self.red.reduce_only(self.red.integer_row(row))
 
 
 def canonical_basis(rows, ncols):

@@ -11,7 +11,7 @@ triangular matrices, and incidence algebras of finite posets.
 from fractions import Fraction
 import random
 
-from .algebra import Element, FiniteAlgebra, center_basis, is_commutative, multiply
+from .algebra import Element, FiniteAlgebra, _brackets, center_basis, is_commutative, multiply
 from .linalg import Inconsistent, RowReducer, SpanChecker, SparseMatrix, nullspace, solve
 
 
@@ -406,28 +406,20 @@ def hypothesis_report(t):
     comm_a = is_commutative(corner_a)
     comm_b = is_commutative(corner_b)
     cond_ii = not (comm_a and comm_b)
-    witness = None
-    for corner, side in ((corner_a, "a"), (corner_b, "b")):
-        for i in range(corner.dim):
-            for j in range(corner.dim):
-                if corner._mul_basis(i, j) != corner._mul_basis(j, i):
-                    witness = [side, i, j]
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    # the first nonzero [b_i, b_j] of a corner, in lexicographic order
+    witness = next(([side, i, j] for corner, side in ((corner_a, "a"), (corner_b, "b"))
+                    for i, j in _brackets(corner)), None)
     details["cond_ii"] = {"a_commutative": comm_a, "b_commutative": comm_b,
                           "witness": witness}
 
+    za = center_basis(corner_a)
     cond_iii = standard_form_check(t)
     details["cond_iii"] = {
         "hom_dim": len(bimodule_hom_basis(t)),
-        "standard_generator_count": len(_standard_form_generators(t)),
+        "standard_generator_count": len(za) + len(center_basis(corner_b)),
         "equal_spans": cond_iii,
     }
 
-    za = center_basis(corner_a)
     if len(za) == 1:
         # Z(A) = Q·1, so αa = 0 with a ≠ 0 forces the scalar α to vanish
         cond_iv = "holds"

@@ -1,17 +1,22 @@
 """Bilinear maps, law constraint systems, solution spaces, constructors."""
 
+import gc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NotCentral,
-                      NotVanishing, Poset, SpanChecker, block_upper_triangular,
-                      constraint_matrix, incidence_algebra, law_residual,
-                      lemma31_residual, lie_bracket, make_central,
-                      make_extremal, make_inner, nullspace, solve_space,
-                      upper_triangular)
+from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
+                      NotCentral, NotLieBider, NotVanishing, Poset,
+                      ResidualNotCentral, SpanChecker, block_upper_triangular,
+                      constraint_matrix, decompose, hypothesis_report,
+                      incidence_algebra, law_residual, lemma31_residual,
+                      lie_bracket, make_central, make_extremal, make_inner,
+                      nullspace, solve_space, upper_triangular)
+from liebider import algebra as algebra_module
+from liebider.bider import lemma31_failures
 
 ALL_LAWS = list(MapLaw)
 
@@ -298,3 +303,75 @@ def test_four_point_identity_on_solution_combinations(idx, quad_idx):
     phi = space[idx % len(space)] + space[(idx + 3) % len(space)].scale(2)
     quad = tuple(t.alg.basis_element(i) for i in quad_idx)
     assert lemma31_residual(phi, quad).is_zero()
+
+
+# -- the structure-table layer ------------------------------------------------
+
+@pytest.mark.parametrize("name", SOLVER_ALGEBRAS)
+def test_bracket_table_matches_lie_bracket(name):
+    alg = SOLVER_ALGEBRAS[name]().alg
+    table = algebra_module._brackets(alg)
+    basis = alg.basis()
+    want = {}
+    for i, j in product(range(alg.dim), repeat=2):
+        br = lie_bracket(basis[i], basis[j])
+        if not br.is_zero():
+            want[(i, j)] = {k: v for k, v in enumerate(br.coords) if v}
+    assert table == want
+    assert list(table) == sorted(table)
+
+
+def test_lie_derivation_system_built_once(monkeypatch):
+    calls = []
+    build = algebra_module._derivation_system
+
+    def counted(alg, lie):
+        calls.append(lie)
+        return build(alg, lie)
+
+    monkeypatch.setattr(algebra_module, "_derivation_system", counted)
+    t = upper_triangular(3, 2)
+    for law in (MapLaw.LIE_BIDER, MapLaw.LIE_DERIV_FIRST, MapLaw.LIE_DERIV_SECOND):
+        solve_space(t.alg, law)
+    for phi in solve_space(t.alg, MapLaw.LIE_BIDER):
+        decompose(t, phi)
+    assert calls == [True]
+    solve_space(t.alg, MapLaw.ASSOC_BIDER)
+    solve_space(t.alg, MapLaw.ASSOC_BIDER)
+    assert calls == [True, False]
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2)], ids=["t2", "t3"])
+def test_lemma31_sweep_counts_nonzero_residuals(n, k):
+    alg = upper_triangular(n, k).alg
+    basis = alg.basis()
+    quads = list(product(basis, repeat=4))
+    space = solve_space(alg, MapLaw.LIE_BIDER)
+    # phi(E11, E12) gains E11: off the law, and Lemma 3.1 sees it
+    perturbed = space[0] + BilinearMap(alg, {(0, 1, 0): 1})
+    maps = space + [perturbed]
+    want = [sum(not lemma31_residual(phi, quad).is_zero() for quad in quads)
+            for phi in maps]
+    assert [lemma31_failures(phi) for phi in maps] == want
+    assert want[:-1] == [0] * len(space)
+    assert want[-1] > 0
+
+
+def test_tables_and_decompositions_leave_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        algebras = [upper_triangular(4, 2), upper_triangular(2, 1)]
+        for t in algebras:
+            spaces = {law: solve_space(t.alg, law) for law in MapLaw}
+            for phi in spaces[MapLaw.LIE_BIDER]:
+                try:
+                    decompose(t, phi)
+                except (NotLieBider, NoCentralLambda, ResidualNotCentral):
+                    pass
+            hypothesis_report(t)
+        assert algebras[1].alg._cache and algebras[0]._law_cache
+        del algebras, t, spaces, phi
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -283,6 +283,18 @@ def test_bool_numerator_is_input_error(tmp_path, capsys, t3):
     assert "Traceback" not in err
 
 
+def test_algebra_without_idempotent_is_input_error(tmp_path, capsys, t3):
+    path = tmp_path / "plain.json"
+    save_algebra(path, t3.alg)
+    for argv in (["decompose", str(path), str(tmp_path / "map.json")],
+                 ["verify", str(path)], ["hypotheses", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == []
+        assert "SchemaError" in err and "idempotent_e" in err
+        assert "Traceback" not in err
+
+
 # -- cli: verify ------------------------------------------------------------------
 
 def test_verify_t3_passes(capsys, t3_file):
