@@ -16,6 +16,14 @@ Elements or the algebra itself, so an algebra stays free of reference
 cycles.  They are shared, not copied: callers read them and never change
 them.  Element arithmetic (multiply, lie_bracket) stays independent of the
 tables, for the checks that recompute from the structure constants.
+
+A TriangularAlgebra keeps one such _cache too, filled through _cached, for
+what depends on its splitting: its two corner algebras, the bimodule hom
+basis and the central-coefficient systems of tau and lambda0.  Its entries
+may hold Elements of the underlying algebra, which never refers back to
+the TriangularAlgebra.  A corner is a FiniteAlgebra of its own, built once
+per side, so its tables and center sit in its own _cache and last as long
+as the triangular algebra does.
 """
 
 from fractions import Fraction
@@ -254,7 +262,7 @@ def _identity_rows(tab, dim, a, c):
 
     def put(q, col, v):
         row = rows.setdefault(q, {})
-        row[col] = row.get(col, 0) + v
+        row[col] = row[col] + v if col in row else v
 
     for p, v in tab.get((a, c), {}).items():
         for q in range(dim):

@@ -19,12 +19,15 @@ decompose(), verify_decomposition() and the law witness work on sparse
 the extraction read the algebra's structure tables (see algebra.py): the
 bracket table [b_i, b_j] and the integer echelon form of the Lie
 derivation system, the same cached form solve_space uses, so solving and
-decomposing on one algebra build it once.  The lambda0 system's
-coefficient matrix depends on the triangular structure; it is built on
-the first decompose() and cached in t._law_cache (see _Tables).  Each map
-then only supplies its right-hand side, so decomposing a whole space in a
-loop pays for the tables once.  [b_i, [b_j, r]] and lambda0*[b_i, b_j] are read off
-the bracket table, linear in the support of r and lambda0.
+decomposing on one algebra build it once.  lambda0, like alpha0 in
+lemma_suite() and tau in triangular.py, is a central-coefficient solve
+(triangular._central_system and _central_solution).  The lambda0
+system's coefficients depend on the triangular structure only; it is
+built on the first decompose() and cached in the triangular algebra's
+_cache (see _lambda_system).  Each map then only supplies its right-hand
+side, so decomposing a whole space in a loop pays for the tables once.
+[b_i, [b_j, r]] and lambda0*[b_i, b_j] are read off the bracket table,
+linear in the support of r and lambda0.
 verify_decomposition() rebuilds every value from the structure constants
 alone, so it shares no cached data with what it checks.
 
@@ -35,10 +38,9 @@ instead of silently picking a side.
 
 from fractions import Fraction
 
-from .algebra import Element, _brackets, _combine, _derivations, lie_bracket, multiply
+from .algebra import Element, _brackets, _cached, _combine, _derivations, lie_bracket, multiply
 from .bider import BilinearMap
-from .linalg import Inconsistent, SparseMatrix, solve
-from .triangular import NotInProjection, tau_inv
+from .triangular import NotInProjection, _central_solution, _central_system, tau_inv
 
 
 class NotLieBider(Exception):
@@ -90,35 +92,26 @@ def _element(alg, row):
     return Element(alg, [row.get(k, 0) for k in range(alg.dim)])
 
 
-class _Tables:
-    """Map-independent decomposition data of one triangular algebra.
-
-    The law test reads the Lie derivation system and the bracket table
-    from the algebra's table cache; this class keeps only the lambda0
-    equations.  lambda_system holds them: one row per off-diagonal
-    coordinate (i, j, o) that some z_s*[b_i, b_j] reaches, numbered by
-    lambda_rows, with one column per center basis element z_s.  At every
-    other off-diagonal coordinate no lambda0 contributes, so the residual
-    itself has to vanish there.
-    """
-
-    __slots__ = ("m_set", "lambda_rows", "lambda_system")
-
-    def __init__(self, t):
-        alg = t.alg
-        self.m_set = frozenset(t.m_indices)
-        eqs = {}
-        for s, z in enumerate(t.center):
-            zc = [(a, c) for a, c in enumerate(z.coords) if c]
-            for (i, j), row in _brackets(alg).items():
-                prod = _combine([(c * v, alg._mul_basis(a, p))
-                                 for a, c in zc for p, v in row.items()])
-                for o, c in prod.items():
-                    if o in self.m_set:
-                        eqs.setdefault((i, j, o), []).append((s, c))
-        self.lambda_rows = {key: n for n, key in enumerate(sorted(eqs))}
-        entries = [(n, s, c) for key, n in self.lambda_rows.items() for s, c in eqs[key]]
-        self.lambda_system = SparseMatrix(len(eqs), len(t.center), entries)
+def _lambda_system(t):
+    """The lambda0 equations, a central-coefficient system: one column per
+    center basis element z_s, its entries the off-diagonal coordinates
+    (i, j, o) of z_s*[b_i, b_j].  At an off-diagonal coordinate no column
+    reaches, no lambda0 contributes, so the residual itself has to vanish
+    there."""
+    alg = t.alg
+    m_set = frozenset(t.m_indices)
+    columns = []
+    for z in t.center:
+        zc = [(a, c) for a, c in enumerate(z.coords) if c]
+        col = {}
+        for (i, j), row in _brackets(alg).items():
+            prod = _combine([(c * v, alg._mul_basis(a, p))
+                             for a, c in zc for p, v in row.items()])
+            for o, c in prod.items():
+                if o in m_set:
+                    col[(i, j, o)] = c
+        columns.append(col)
+    return _central_system(columns)
 
 
 def _extremal(alg, r):
@@ -136,13 +129,6 @@ def _extremal(alg, r):
             if row:
                 out[(i, j)] = row
     return out
-
-
-def _tables(t):
-    tab = t._law_cache.get("decomp-tables")
-    if tab is None:
-        tab = t._law_cache["decomp-tables"] = _Tables(t)
-    return tab
 
 
 def _slice_vector(coeffs, dim, fixed, first_fixed):
@@ -231,7 +217,6 @@ def decompose(t, phi):
 
     alg = t.alg
     dim = alg.dim
-    tab = _tables(t)
     empty = {}
     r = phi(t.e, t.e)
     ext = _extremal(alg, r)
@@ -242,28 +227,12 @@ def decompose(t, phi):
         if row:
             rest[key] = row
 
-    no_lambda = "no central element matches the off-diagonal residual"
-    rhs = [0] * len(tab.lambda_rows)
-    for (i, j), row in rest.items():
-        for o, v in row.items():
-            if o in tab.m_set:
-                n = tab.lambda_rows.get((i, j, o))
-                if n is None:
-                    raise NoCentralLambda(no_lambda)
-                rhs[n] = v
-    # raised outside the handler, so the error does not chain Inconsistent
-    # and with it the solver's frames and row reduction
-    try:
-        sol = solve(tab.lambda_system, rhs)
-    except Inconsistent:
-        sol = None
-    if sol is None:
-        raise NoCentralLambda(no_lambda)
-
-    lambda0 = alg.zero()
-    for s, z in enumerate(t.center):
-        if sol[s]:
-            lambda0 = lambda0 + z.scale(sol[s])
+    m_set = frozenset(t.m_indices)
+    target = {(i, j, o): v for (i, j), row in rest.items()
+              for o, v in row.items() if o in m_set}
+    lambda0 = _central_solution(t, _cached(t, "lambda0", _lambda_system), t.center, target)
+    if lambda0 is None:
+        raise NoCentralLambda("no central element matches the off-diagonal residual")
 
     lam = [(a, -c) for a, c in enumerate(lambda0.coords) if c]
     br = _brackets(alg)
@@ -368,29 +337,12 @@ def _solve_alpha0(t, phi):
     phi(e, m) = alpha0*m for every m in the off-diagonal block, or None."""
     alg = t.alg
     cen_a = [t.proj_a(z) for z in t.center]
-    nc = len(cen_a)
-    entries = []
-    rhs = []
-    nrow = 0
-    for u in t.m_indices:
-        mu_el = alg.basis_element(u)
-        target = phi(t.e, mu_el)
-        for o in range(alg.dim):
-            for s in range(nc):
-                c = multiply(cen_a[s], mu_el).coords[o]
-                if c:
-                    entries.append((nrow, s, c))
-            rhs.append(target.coords[o])
-            nrow += 1
-    try:
-        sol = solve(SparseMatrix(nrow, nc, entries), rhs)
-    except Inconsistent:
-        return None
-    alpha0 = alg.zero()
-    for s in range(nc):
-        if sol[s]:
-            alpha0 = alpha0 + cen_a[s].scale(sol[s])
-    return alpha0
+    m_basis = [(u, alg.basis_element(u)) for u in t.m_indices]
+    columns = [{(u, o): c for u, m in m_basis for o, c in enumerate(multiply(za, m).coords) if c}
+               for za in cen_a]
+    target = {(u, o): c for u, m in m_basis
+              for o, c in enumerate(phi(t.e, m).coords) if c}
+    return _central_solution(t, _central_system(columns), cen_a, target)
 
 
 def lemma_suite(t, phi):

@@ -187,14 +187,16 @@ def load_map(path, alg, expected_fpr):
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list):
         raise SchemaError("coeffs must be a list")
-    items = []
+    items = {}
     for row in coeffs:
         if not isinstance(row, list) or len(row) != 5:
             raise SchemaError("coeff rows must be [i, j, k, num, den]")
         i, j, k = row[:3]
         if not all(_is_int(x) and 0 <= x < alg.dim for x in (i, j, k)):
             raise SchemaError(f"coeff indices ({i},{j},{k}) out of range")
-        items.append((i, j, k, _unpair(row[3:], "coefficient")))
+        if (i, j, k) in items:
+            raise SchemaError(f"duplicate coefficient at ({i},{j},{k})")
+        items[(i, j, k)] = _unpair(row[3:], "coefficient")
     return BilinearMap(alg, items)
 
 

@@ -11,7 +11,8 @@ triangular matrices, and incidence algebras of finite posets.
 from fractions import Fraction
 import random
 
-from .algebra import Element, FiniteAlgebra, _brackets, center_basis, is_commutative, multiply
+from .algebra import (Element, FiniteAlgebra, _brackets, _cached, center_basis,
+                      is_commutative, multiply)
 from .linalg import Inconsistent, RowReducer, SpanChecker, SparseMatrix, nullspace, solve
 
 
@@ -109,13 +110,14 @@ class TriangularAlgebra:
 
     Validates on construction: e idempotent, fTe = 0, basis homogeneous with
     respect to the Peirce decomposition, M nonzero and faithful on both
-    sides.  The center and its A/B projections are computed eagerly; all
-    queries afterwards are pure.
+    sides.  The center is computed eagerly.  What depends on the triangular
+    structure alone (the corner algebras, the bimodule hom basis, the
+    central-coefficient systems of tau and lambda0) is built on first use
+    into _cache through algebra._cached; all queries are pure.
     """
 
     __slots__ = ("alg", "e", "f", "a_indices", "m_indices", "b_indices",
-                 "diag_indices", "center", "_center_span", "_corners",
-                 "_hom_basis", "_law_cache")
+                 "diag_indices", "center", "_center_span", "_cache")
 
     def __init__(self, alg, e, diag_indices=None):
         if not isinstance(e, Element) or e.algebra is not alg:
@@ -151,32 +153,21 @@ class TriangularAlgebra:
         self._check_faithful()
         self.center = tuple(center_basis(alg))
         self._center_span = SpanChecker([z.coords for z in self.center], alg.dim)
-        self._corners = {}
-        self._hom_basis = None
-        self._law_cache = {}
+        self._cache = {}
 
     def _check_faithful(self):
-        alg = self.alg
+        # a ∈ A with a·M = 0 forces a = 0, and M·b = 0 forces b = 0
         dm = len(self.m_indices)
-        # a ∈ A with a·M = 0 forces a = 0
-        entries = []
-        for u, gu in enumerate(self.m_indices):
-            for j, gj in enumerate(self.a_indices):
-                for k, v in alg._mul_basis(gj, gu).items():
-                    o = self.m_indices.index(k)
-                    entries.append((u * dm + o, j, v))
-        mat = SparseMatrix(dm * dm, len(self.a_indices), entries)
-        if nullspace(mat):
-            raise BadSplit("bimodule not faithful: some a in A kills eTf")
-        entries = []
-        for u, gu in enumerate(self.m_indices):
-            for j, gj in enumerate(self.b_indices):
-                for k, v in alg._mul_basis(gu, gj).items():
-                    o = self.m_indices.index(k)
-                    entries.append((u * dm + o, j, v))
-        mat = SparseMatrix(dm * dm, len(self.b_indices), entries)
-        if nullspace(mat):
-            raise BadSplit("bimodule not faithful: some b in B kills eTf")
+        for side, actors, error in (
+                ("left", self.a_indices, "bimodule not faithful: some a in A kills eTf"),
+                ("right", self.b_indices, "bimodule not faithful: some b in B kills eTf")):
+            entries = []
+            for j, gj in enumerate(actors):
+                p = _action_matrix(self, gj, side)
+                entries.extend((u * dm + o, j, p[o][u])
+                               for u in range(dm) for o in range(dm) if p[o][u])
+            if nullspace(SparseMatrix(dm * dm, len(actors), entries)):
+                raise BadSplit(error)
 
     # -- Peirce structure ------------------------------------------------
 
@@ -203,23 +194,10 @@ class TriangularAlgebra:
 
         Returns (algebra, global_indices); side is "a" or "b".  Products of
         corner basis elements stay in the corner, so the structure constants
-        restrict directly.
+        restrict directly.  Built once per side; the corner keeps its own
+        table cache.
         """
-        if side in self._corners:
-            return self._corners[side]
-        glob = self.a_indices if side == "a" else self.b_indices
-        unit_el = self.e if side == "a" else self.f
-        pos = {g: i for i, g in enumerate(glob)}
-        structure = {}
-        for a, ga in enumerate(glob):
-            for b, gb in enumerate(glob):
-                for k, v in self.alg._mul_basis(ga, gb).items():
-                    structure[(a, b, pos[k])] = v
-        unit = [unit_el.coords[g] for g in glob]
-        labels = [self.alg.basis_labels[g] for g in glob]
-        corner = FiniteAlgebra(len(glob), labels, structure, unit)
-        self._corners[side] = (corner, glob)
-        return corner, glob
+        return _cached(self, ("corner", side), lambda t: _corner_algebra(t, side))
 
     def trace_functional(self):
         """Coordinate functional summing the diagonal-unit coefficients.
@@ -235,36 +213,81 @@ class TriangularAlgebra:
         return tuple(g)
 
 
+def _corner_algebra(t, side):
+    glob = t.a_indices if side == "a" else t.b_indices
+    unit_el = t.e if side == "a" else t.f
+    pos = {g: i for i, g in enumerate(glob)}
+    structure = {}
+    for a, ga in enumerate(glob):
+        for b, gb in enumerate(glob):
+            for k, v in t.alg._mul_basis(ga, gb).items():
+                structure[(a, b, pos[k])] = v
+    unit = [unit_el.coords[g] for g in glob]
+    labels = [t.alg.basis_labels[g] for g in glob]
+    return FiniteAlgebra(len(glob), labels, structure, unit), glob
+
+
 def peirce(t, x):
     """Split x into its (eTe, eTf, fTf) components; they sum back to x."""
     return t.proj_a(x), t.proj_m(x), t.proj_b(x)
 
 
-def _central_part_map(t, a, side):
-    """Solve for the central z with given A-part (side 'a') or B-part ('b')."""
-    indices = t.a_indices if side == "a" else t.b_indices
-    proj = t.proj_a if side == "a" else t.proj_b
-    other = t.proj_b if side == "a" else t.proj_a
-    for i, c in enumerate(a.coords):
-        if c != 0 and i not in indices:
-            raise NotInProjection("element does not lie in the corner")
-    cols = len(t.center)
-    entries = []
-    for s, z in enumerate(t.center):
-        pz = proj(z)
-        for r, gi in enumerate(indices):
-            if pz.coords[gi]:
-                entries.append((r, s, pz.coords[gi]))
-    mat = SparseMatrix(len(indices), cols, entries)
-    rhs = [a.coords[gi] for gi in indices]
+def _central_system(columns):
+    """The system sum_s c_s*columns[s] = target over sparse {key: value}
+    columns: ({key: row}, SparseMatrix), one row per key some column
+    reaches, numbered in sorted key order, one column per c_s."""
+    rows = {key: n for n, key in enumerate(sorted(set().union(*columns)))}
+    entries = [(rows[key], s, v) for s, col in enumerate(columns) for key, v in col.items()]
+    return rows, SparseMatrix(len(rows), len(columns), entries)
+
+
+def _central_solution(t, system, gens, target):
+    """sum_s c_s*gens[s] for the canonical solution c of a _central_system
+    with right-hand side target ({key: value}), free coefficients zero.
+
+    None if target is nonzero at a key no column reaches, or the system is
+    inconsistent; an error the caller raises for None then does not chain
+    the solver's exception (and with it its frames and row reducer).
+    """
+    rows, mat = system
+    rhs = [0] * len(rows)
+    for key, v in target.items():
+        n = rows.get(key)
+        if n is None:
+            if v:
+                return None
+        else:
+            rhs[n] = v
     try:
         coeffs = solve(mat, rhs)
     except Inconsistent:
-        raise NotInProjection("element is not the corner part of any central element") from None
+        return None
     out = t.alg.zero()
-    for s, z in enumerate(t.center):
-        if coeffs[s]:
-            out = out + other(z).scale(coeffs[s])
+    for c, g in zip(coeffs, gens):
+        if c:
+            out = out + g.scale(c)
+    return out
+
+
+def _tau_system(t, side):
+    """The central-coefficient system of tau (side 'a') or tau_inv ('b'):
+    the center basis restricted to the corner, and its other parts."""
+    indices = t.a_indices if side == "a" else t.b_indices
+    other = t.proj_b if side == "a" else t.proj_a
+    columns = [{g: z.coords[g] for g in indices if z.coords[g]} for z in t.center]
+    return _central_system(columns), [other(z) for z in t.center]
+
+
+def _central_part_map(t, a, side):
+    """Solve for the central z with given A-part (side 'a') or B-part ('b')."""
+    indices = t.a_indices if side == "a" else t.b_indices
+    for i, c in enumerate(a.coords):
+        if c != 0 and i not in indices:
+            raise NotInProjection("element does not lie in the corner")
+    system, gens = _cached(t, ("tau", side), lambda t: _tau_system(t, side))
+    out = _central_solution(t, system, gens, {i: c for i, c in enumerate(a.coords) if c})
+    if out is None:
+        raise NotInProjection("element is not the corner part of any central element")
     return out
 
 
@@ -286,7 +309,7 @@ def _action_matrix(t, gj, side):
     """Matrix of m → b_gj·m (side 'left') or m → m·b_gj ('right') on eTf coords."""
     dm = len(t.m_indices)
     pos = {g: u for u, g in enumerate(t.m_indices)}
-    mat = [[Fraction(0)] * dm for _ in range(dm)]
+    mat = [[0] * dm for _ in range(dm)]
     for u, gu in enumerate(t.m_indices):
         prod = t.alg._mul_basis(gj, gu) if side == "left" else t.alg._mul_basis(gu, gj)
         for k, v in prod.items():
@@ -302,8 +325,10 @@ def bimodule_hom_basis(t):
     tuples of row tuples, one per basis hom, in the canonical nullspace
     order of the flattened (i, j) unknowns.
     """
-    if t._hom_basis is not None:
-        return list(t._hom_basis)
+    return list(_cached(t, "homs", _bimodule_homs))
+
+
+def _bimodule_homs(t):
     dm = len(t.m_indices)
     entries = []
     nrow = 0
@@ -324,37 +349,25 @@ def bimodule_hom_basis(t):
                             entries.append((nrow, col, v))
                     nrow += 1
     mat = SparseMatrix(nrow, dm * dm, entries)
-    homs = []
-    for vec in nullspace(mat):
-        homs.append(tuple(tuple(vec[i * dm + j] for j in range(dm)) for i in range(dm)))
-    t._hom_basis = tuple(homs)
-    return homs
+    return tuple(tuple(tuple(vec[i * dm + j] for j in range(dm)) for i in range(dm))
+                 for vec in nullspace(mat))
 
 
 def _standard_form_generators(t):
     """Flattened matrices of m → a₀m and m → mb₀ over corner-center bases."""
     gens = []
-    corner_a, glob_a = t.corner("a")
-    corner_b, glob_b = t.corner("b")
     dm = len(t.m_indices)
-    for z in center_basis(corner_a):
-        mat = [[Fraction(0)] * dm for _ in range(dm)]
-        for j, c in enumerate(z.coords):
-            if c:
-                p = _action_matrix(t, glob_a[j], "left")
-                for u in range(dm):
-                    for v in range(dm):
-                        mat[u][v] += c * p[u][v]
-        gens.append(tuple(x for row in mat for x in row))
-    for z in center_basis(corner_b):
-        mat = [[Fraction(0)] * dm for _ in range(dm)]
-        for j, c in enumerate(z.coords):
-            if c:
-                p = _action_matrix(t, glob_b[j], "right")
-                for u in range(dm):
-                    for v in range(dm):
-                        mat[u][v] += c * p[u][v]
-        gens.append(tuple(x for row in mat for x in row))
+    for side, action in (("a", "left"), ("b", "right")):
+        corner, glob = t.corner(side)
+        for z in center_basis(corner):
+            mat = [[Fraction(0)] * dm for _ in range(dm)]
+            for j, c in enumerate(z.coords):
+                if c:
+                    p = _action_matrix(t, glob[j], action)
+                    for u in range(dm):
+                        for v in range(dm):
+                            mat[u][v] += c * p[u][v]
+            gens.append(tuple(x for row in mat for x in row))
     return gens
 
 

@@ -370,7 +370,7 @@ def test_tables_and_decompositions_leave_no_reference_cycles():
                 except (NotLieBider, NoCentralLambda, ResidualNotCentral):
                     pass
             hypothesis_report(t)
-        assert algebras[1].alg._cache and algebras[0]._law_cache
+        assert algebras[1].alg._cache and algebras[0]._cache
         del algebras, t, spaces, phi
         assert gc.collect() == 0
     finally:

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from liebider import (BilinearMap, Decomposition, LemmaReport, MapLaw,
-                      NoCentralLambda, NotLieBider, ResidualNotCentral,
-                      SpanChecker, decompose, lemma_suite, lie_bracket,
-                      make_central, make_extremal, make_inner, multiply,
-                      solve_space, verify_decomposition)
+                      NoCentralLambda, NotLieBider, Poset, ResidualNotCentral,
+                      SpanChecker, decompose, incidence_algebra, lemma_suite,
+                      lie_bracket, make_central, make_extremal, make_inner,
+                      multiply, solve_space, verify_decomposition)
 
 
 def reassemble(t, d):
@@ -147,11 +147,13 @@ def test_law_test_matches_space_membership_at_every_coordinate(t3, t3_space):
         assert rejected == (not span.contains(phi.flat())), f
 
 
-def test_no_central_lambda_chains_no_solver_error(t2, t2_space):
-    # map 3's lambda0 system is inconsistent: the error must not keep the
+@pytest.mark.parametrize("index", [2, 3])
+def test_no_central_lambda_chains_no_solver_error(t2, t2_space, index):
+    # map 2 is nonzero at an off-diagonal coordinate that no lambda0 reaches,
+    # map 3's lambda0 system is inconsistent: neither error may keep the
     # solver's exception (and its frames) as context
     with pytest.raises(NoCentralLambda) as exc:
-        decompose(t2, t2_space[3])
+        decompose(t2, t2_space[index])
     assert exc.value.__context__ is None
 
 
@@ -222,6 +224,26 @@ def test_suite_failures_on_t2(t2, t2_space):
                 assert wit is not None
                 assert "basis" in wit
     assert fails == {2: ["3.6"], 3: ["3.4"], 5: ["3.4"]}
+
+
+def test_alpha0_solves_mixed_values_or_is_reported_missing(t3, block21):
+    v = incidence_algebra(Poset(3, [(1, 3), (2, 3)]), [1, 2])
+    missing = {}
+    for name, t in (("v", v), ("t3", t3), ("block21", block21)):
+        for k, phi in enumerate(solve_space(t.alg, MapLaw.LIE_BIDER)):
+            rep = lemma_suite(t, phi)
+            alpha0 = rep.entry("3.4")["detail"]["alpha0"]
+            if alpha0 is None:
+                missing[name, k] = (rep.entry("3.4")["witness"]["reason"],
+                                    rep.entry("3.7")["witness"]["reason"])
+                assert not rep.passed("3.4") and not rep.passed("3.7")
+                continue
+            for u in t.m_indices:
+                m = t.alg.basis_element(u)
+                assert multiply(alpha0, m) == phi(t.e, m), (name, k, u)
+    reasons = ("no central alpha0 solves phi(e, m) = alpha0*m",
+               "alpha0 unavailable, diagonal relation untestable")
+    assert missing == {("v", 11): reasons, ("v", 13): reasons}
 
 
 def test_sign_conventions_recorded(t3, t3_space):

@@ -262,6 +262,21 @@ def test_decompose_list_shaped_map_is_input_error(tmp_path, capsys, t3_file, t3)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [5, 0])
+def test_duplicate_map_coefficient_is_input_error(tmp_path, capsys, t3_file, t3, value):
+    # a later row for the same (i, j, k), nonzero or zero, must not silently
+    # overwrite or be dropped
+    fpr = algebra_fingerprint(t3.alg, t3.e)
+    doc = map_to_doc(solve_space(t3.alg, MapLaw.LIE_BIDER)[0], fpr)
+    doc["coeffs"].append(doc["coeffs"][0][:3] + [value, 1])
+    path = write_json(tmp_path / "duplicate.json", doc)
+    code, out, err = run_cli(capsys, "decompose", t3_file, path)
+    assert code == 2
+    assert out == []
+    assert "SchemaError" in err and "duplicate" in err
+    assert "Traceback" not in err
+
+
 def test_float_structure_index_is_input_error(tmp_path, capsys, t3):
     doc = algebra_to_doc(t3.alg, t3.e)
     doc["structure"][0][0] = float(doc["structure"][0][0])

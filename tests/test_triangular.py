@@ -112,8 +112,11 @@ def test_downset_required():
 
 def test_unfaithful_split_rejected():
     # 1 < 2 and 1 < 3: splitting at {1, 2} leaves e12 annihilating e(1,3)
-    with pytest.raises(BadSplit):
+    with pytest.raises(BadSplit, match="some a in A kills eTf"):
         incidence_algebra(Poset(3, [(1, 2), (1, 3)]), {1, 2})
+    # 1 < 3 and 2 < 3: splitting at {1} leaves e22 annihilating e(1,3)
+    with pytest.raises(BadSplit, match="some b in B kills eTf"):
+        incidence_algebra(Poset(3, [(1, 3), (2, 3)]), {1})
 
 
 def test_v_poset_incidence():
@@ -223,6 +226,14 @@ def test_tau_examples(t2, t3):
     assert tau(t2, t2.alg.zero()).is_zero()
     with pytest.raises(NotInProjection):
         tau(t3, t3.alg.basis_element(0))
+
+
+def test_tau_rejects_element_outside_the_corner(t3):
+    m = t3.alg.basis_element(t3.m_indices[0])
+    for fn, corner in ((tau, t3.e), (tau_inv, t3.f)):
+        for x in (m, corner + m):
+            with pytest.raises(NotInProjection, match="does not lie in the corner"):
+                fn(t3, x)
 
 
 def test_tau_intertwines_module_actions(t3, block21):
