@@ -10,7 +10,9 @@ decomposition and the checks share.  The product table {(i, j): {k: c}} is
 the algebra's own _prod.  Each algebra keeps one lazily filled cache, _cache,
 for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
 integer echelon form of the single-argument derivation system of each law
-kind (_derivations, built once per kind) and the center's coordinates.
+kind (_derivations, built once per kind, from an integer copy of the table
+and, for the bracket, from the pairs a < c only) and the center's
+coordinates.
 Cached values are ints, Fractions, bytes, dicts and tuples only, never
 Elements or the algebra itself, so an algebra stays free of reference
 cycles.  They are shared, not copied: callers read them and never change
@@ -27,6 +29,7 @@ as the triangular algebra does.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import RowReducer, SparseMatrix, nullspace
 
@@ -47,17 +50,18 @@ class FiniteAlgebra:
         self.dim = dim
         self.basis_labels = tuple(str(s) for s in basis_labels)
         prod = {}
+        seen = set()
         items = structure.items() if hasattr(structure, "items") else ((t[:3], t[3]) for t in structure)
         for (i, j, k), v in items:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"structure index ({i},{j},{k}) out of range")
-            v = Fraction(v)
-            if v == 0:
-                continue
-            row = prod.setdefault((i, j), {})
-            if k in row:
+            # a second entry is refused even when either value is zero
+            if (i, j, k) in seen:
                 raise ValueError(f"duplicate structure constant at ({i},{j},{k})")
-            row[k] = v
+            seen.add((i, j, k))
+            v = Fraction(v)
+            if v:
+                prod.setdefault((i, j), {})[k] = v
         self._prod = prod
         if len(unit) != dim:
             raise ValueError("unit length mismatch")
@@ -283,21 +287,33 @@ def _identity_rows(tab, dim, a, c):
 def _derivation_system(alg, lie):
     """Echelon form of the single-argument derivation law, in integers.
 
-    The identity rows at all basis pairs (a, c), o the bracket or the
-    product, reduced.  Returns (zero, rows).  An echelon row with one entry
-    only says that its column vanishes: zero[col] is 1 for those columns
-    and 0 elsewhere.  rows are the other echelon rows, in pivot order, as
-    (columns, values) pairs with the columns ascending (pivot first) and
-    the RowReducer's gcd-normalized integer values (pivot positive): each
-    is an integer multiple of its RREF row.
+    The identity rows at the basis pairs (a, c), o the bracket or the
+    product, reduced: every pair for the product, the pairs a < c for the
+    bracket (the others add nothing new).  The rows are built from an
+    integer copy of the table, the table times the lcm of its
+    denominators: each identity term carries exactly one table factor, so
+    every row scales by that one factor and its span is unchanged.  The
+    integer rows go to the RowReducer as they are.
+
+    Returns (zero, rows).  An echelon row with one entry only says that
+    its column vanishes: zero[col] is 1 for those columns and 0 elsewhere.
+    rows are the other echelon rows, in pivot order, as (columns, values)
+    pairs with the columns ascending (pivot first) and the RowReducer's
+    gcd-normalized integer values (pivot positive): each is an integer
+    multiple of its RREF row.
     """
     dim = alg.dim
     tab = _table(alg, lie)
+    den = lcm(*(v.denominator for row in tab.values() for v in row.values()))
+    tab = {key: {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+           for key, row in tab.items()}
     red = RowReducer(dim * dim)
     for a in range(dim):
-        for c in range(dim):
+        # the bracket is antisymmetric: the (c, a) rows are the (a, c) rows
+        # negated, and the (a, a) rows vanish
+        for c in range(a + 1 if lie else 0, dim):
             for _, row in _identity_rows(tab, dim, a, c):
-                red.add_fraction_row(row)
+                red.add_row(row)
     rows = [tuple(zip(*sorted(row.items()))) for row in red.pivrows]
     zero = {cols[0] for cols, _ in rows if len(cols) == 1}
     return (bytes(c in zero for c in range(dim * dim)),

@@ -9,8 +9,11 @@ structure of the laws (each one says certain dim²-slices are single-argument
 derivations), keeps every vector a sparse {flat index: value} dict up to the
 stored maps, and rewrites its answer in the canonical kernel basis, so both
 routes agree exactly.  Both read the algebra's cached structure tables
-(algebra.py): the bracket or product table, and for solve_space the echelon
-rows of the derivation system, whose kernel it reads off directly.
+(algebra.py): the bracket or product table, and for solve_space the integer
+echelon rows of the derivation system, whose kernel it reads off directly as
+integer vectors.  So the derivation slices and the two-sided slice system stay
+in ints; only the slice system's kernel and the canonical basis hold
+Fractions.
 lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
 basis quadruple on the bracket table; lemma31_residual is the
 Element-arithmetic reference it is tested against.
@@ -18,6 +21,7 @@ Element-arithmetic reference it is tested against.
 
 import enum
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (Element, _brackets, _combine, _derivations, _identity_rows, _table,
                       lie_bracket, multiply)
@@ -200,22 +204,27 @@ def constraint_matrix(alg, law):
 def _derivation_slices(zero, rows, dim):
     """Kernel basis of the derivation system, read off its echelon form.
 
-    One vector per free column f in ascending order: 1 at f, the other free
-    columns 0, -row[f]/row[p] at each pivot p.  Each vector is returned as
-    its slice [{k: v} for each a]: d(b_a) = sum_k v*b_k.
+    One vector per free column f in ascending order: the kernel vector
+    that is 1 at f, 0 at the other free columns and -row[f]/row[p] at each
+    pivot p, times the lcm m of those row[p], so that its values are ints
+    (m at f).  Only the span of the vectors is used downstream.  Each
+    vector is returned as its slice [{k: v} for each a]: d(b_a) =
+    sum_k v*b_k.
     """
     pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
-    solved = {}  # free column f -> [(pivot p, -row[f]/row[p])]
+    solved = {}  # free column f -> [(pivot p, -row[f], row[p])]
     for cols, vals in rows:
         for c, v in zip(cols[1:], vals[1:]):
             if c not in pivots:
-                solved.setdefault(c, []).append((cols[0], Fraction(-v, vals[0])))
+                solved.setdefault(c, []).append((cols[0], -v, vals[0]))
     slices = []
     for f in range(dim * dim):
         if f in pivots:
             continue
+        entries = solved.get(f, [])
+        m = lcm(*(pv for _, _, pv in entries))
         sl = [dict() for _ in range(dim)]
-        for flat, v in sorted(solved.get(f, []) + [(f, Fraction(1))]):
+        for flat, v in sorted([(p, v * (m // pv)) for p, v, pv in entries] + [(f, m)]):
             a, k = divmod(flat, dim)
             sl[a][k] = v
         slices.append(sl)
@@ -251,8 +260,8 @@ def solve_space(alg, law):
                 vectors.append(vec)
     elif nd:
         # t[i][j][k] = Σ_s x[i][s]·D_s[j][k]; impose that every second-index
-        # slice is itself a derivation, via the (integer) echelon rows of the
-        # system: a row's scale does not change the reduced rows
+        # slice is itself a derivation, via the integer echelon rows of the
+        # system; the slices D_s are integer too, so every row is
         grouped = []  # each echelon row as [(a, [(k, v)])], in pivot order
         for cols, vals in sorted([((c,), (1,)) for c, z in enumerate(zero) if z] + list(rows)):
             parts = {}
@@ -277,7 +286,7 @@ def solve_space(alg, law):
                         if c:
                             out[a * nd + s] = c
                 if out:
-                    red.add_fraction_row(out)
+                    red.add_row(out)
         for x in nullspace_from_reducer(red, dim * nd):
             vec = {}
             for flat, c in enumerate(x):

@@ -216,15 +216,16 @@ class RowReducer:
 
     @staticmethod
     def integer_row(row):
-        """A {col: Fraction} dict times the lcm of its denominators, as
-        {col: int} without zeros."""
+        """A {col: Fraction or int} dict times the lcm of its denominators,
+        as {col: int} without zeros."""
         den = 1
         for v in row.values():
             den = den * v.denominator // gcd(den, v.denominator)
         return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
     def add_fraction_row(self, row):
-        """add_row for a {col: Fraction} dict: clears denominators first."""
+        """add_row for a {col: Fraction or int} dict: clears denominators
+        first."""
         return self.add_row(self.integer_row(row))
 
     @property
@@ -345,7 +346,8 @@ class SpanChecker:
 def canonical_basis(rows, ncols):
     """Rewrite a spanning list of sparse vectors as the canonical kernel-style basis.
 
-    rows are {col: value} dicts.  The output is the unique basis of their
+    rows are {col: value} dicts with int or Fraction values, taken as they
+    are (an int is its own numerator).  The output is the unique basis of their
     span in which each vector has trailing coordinate 1 at a distinct
     column, zeros at the other vectors' trailing columns, and the list is
     sorted by trailing column; each vector is a {col: Fraction} dict of its
@@ -356,7 +358,7 @@ def canonical_basis(rows, ncols):
     red = RowReducer(ncols)
     last = ncols - 1
     for row in rows:
-        red.add_fraction_row({last - c: Fraction(v) for c, v in row.items() if v})
+        red.add_fraction_row({last - c: v for c, v in row.items() if v})
     out = [dict(sorted((last - c, v) for c, v in row.items())) for row in red.echelon_rows()]
     out.reverse()  # engine pivot ascending = trailing column descending
     return out

@@ -87,6 +87,10 @@ def algebra_from_doc(doc):
     if (not isinstance(labels, list) or len(labels) != dim
             or not all(isinstance(x, str) for x in labels)):
         raise SchemaError("basis_labels must list one string per basis element")
+    # a JSON escape such as "\ud800" loads as a lone surrogate, which the
+    # reports could not print
+    if any(0xD800 <= ord(ch) <= 0xDFFF for x in labels for ch in x):
+        raise SchemaError("basis_labels must not hold lone surrogates")
     structure = doc.get("structure")
     if not isinstance(structure, list):
         raise SchemaError("structure must be a list")
@@ -127,13 +131,18 @@ def save_algebra(path, alg, idempotent_e=None):
     return doc
 
 
-def load_algebra(path):
+def _read_json(path):
+    """The document in a JSON file.  Bytes that are not UTF-8, malformed
+    JSON and nesting too deep for the parser all raise SchemaError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-    return algebra_from_doc(doc)
+
+
+def load_algebra(path):
+    return algebra_from_doc(_read_json(path))
 
 
 def load_triangular(path):
@@ -170,11 +179,7 @@ def load_map(path, alg, expected_fpr):
     loaded; a mismatch raises FingerprintMismatch before any coefficient
     is interpreted.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("map document must be an object")
     if doc.get("schema") != MAP_SCHEMA:
@@ -206,11 +211,7 @@ def load_poset(path):
     The reflexive-transitive closure is computed on load; covers may be any
     generating set of relations, not necessarily minimal.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("poset document must be an object")
     size = doc.get("size")

@@ -94,12 +94,12 @@ def _norm(row):
     return [v // g for v in row]
 
 
-def dense_kernel(rows, ncols):
-    """Canonical kernel basis of an integer row system.
+def dense_rref(rows):
+    """Reduced echelon form of an integer row system.
 
     Plain incremental Gauss over dense integer lists, then a backward pass
-    to reach reduced echelon form, then one kernel vector per free column
-    with the free coordinate set to 1.
+    to reach reduced echelon form.  Returns (pivot column, row) pairs in
+    pivot order, each row gcd-normalized with a positive pivot.
     """
     piv = []  # (pivot column, reduced integer row)
     for row in rows:
@@ -121,6 +121,13 @@ def dense_kernel(rows, ncols):
             rc = qr[pc]
             if rc:
                 piv[jdx] = (qc, _norm([pv * a - rc * b for a, b in zip(qr, pr)]))
+    return piv
+
+
+def dense_kernel(rows, ncols):
+    """Canonical kernel basis of an integer row system: one vector per
+    free column of dense_rref(rows), with the free coordinate set to 1."""
+    piv = dense_rref(rows)
     pivset = {pc for pc, _ in piv}
     basis = []
     for fc in range(ncols):
@@ -139,6 +146,50 @@ def solve_law_dense(alg, law):
     """Kernel basis of the full dense system, canonical order."""
     rows, ncols = law_rows(alg, law)
     return dense_kernel(int_rows(rows), ncols)
+
+
+def derivation_rows(alg, lie):
+    """Dense rows of the single-argument derivation law over the dim**2
+    unknowns d[a][k] (flat a*dim + k, with d(b_a) = sum_k d[a][k] b_k):
+    for every basis pair (a, c), both orders and a == c included, and
+    every output coordinate q, the q-th coordinate of
+    d(b_a o b_c) - d(b_a) o b_c - b_a o d(b_c), o the bracket or the
+    product."""
+    dim = alg.dim
+    basis = alg.basis()
+    op = lie_bracket if lie else multiply
+    prod = [[op(basis[i], basis[j]).coords for j in range(dim)]
+            for i in range(dim)]
+    rows = []
+    for a in range(dim):
+        for c in range(dim):
+            block = [[Fraction(0)] * (dim * dim) for _ in range(dim)]
+            for p, v in enumerate(prod[a][c]):
+                if v:
+                    for q in range(dim):
+                        block[q][p * dim + q] += v
+            for k in range(dim):
+                for q, v in enumerate(prod[k][c]):
+                    if v:
+                        block[q][a * dim + k] -= v
+                for q, v in enumerate(prod[a][k]):
+                    if v:
+                        block[q][c * dim + k] -= v
+            rows.extend(block)
+    return rows
+
+
+def derivation_echelon(alg, lie):
+    """Reference for the library's integer derivation echelon form, in its
+    (zero, rows) format: zero[col] is 1 where a reduced row has its pivot
+    as its only entry; rows are the other reduced rows, gcd-normalized, as
+    (columns, values) pairs in pivot order."""
+    ncols = alg.dim ** 2
+    piv = dense_rref(int_rows(derivation_rows(alg, lie)))
+    rows = [tuple(zip(*[(c, v) for c, v in enumerate(row) if v])) for _, row in piv]
+    zero = {cols[0] for cols, _ in rows if len(cols) == 1}
+    return (bytes(c in zero for c in range(ncols)),
+            tuple(row for row in rows if len(row[0]) > 1))
 
 
 def law_witness(phi):

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dense_oracle
 from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
                       NotCentral, NotLieBider, NotVanishing, Poset,
-                      ResidualNotCentral, SpanChecker, block_upper_triangular,
+                      ResidualNotCentral, SpanChecker, TriangularAlgebra,
+                      block_upper_triangular,
                       constraint_matrix, decompose, hypothesis_report,
                       incidence_algebra, law_residual, lemma31_residual,
                       lie_bracket, make_central, make_extremal, make_inner,
-                      nullspace, solve_space, upper_triangular)
+                      nullspace, solve_space, upper_triangular,
+                      verify_decomposition)
 from liebider import algebra as algebra_module
 from liebider.bider import lemma31_failures
 
@@ -145,12 +148,29 @@ def test_sliced_solver_matches_full_system_block(block21):
     assert got == direct
 
 
+def t3_scaled():
+    """T3 with its basis element E13 doubled: E12·E23 = 1/2·E13', the only
+    structure constant that is not an integer."""
+    alg = upper_triangular(3, 2).alg
+    e13 = alg.basis_labels.index("E13")
+    scale = [Fraction(2) if i == e13 else Fraction(1) for i in range(alg.dim)]
+    items = [(i, j, k, v * scale[i] * scale[j] / scale[k])
+             for i, j, k, v in alg.structure_items()]
+    unit = [u / s for u, s in zip(alg.unit, scale)]
+    scaled = FiniteAlgebra(alg.dim, alg.basis_labels, items, unit)
+    e = scaled.element([1, 0, 0, 1, 0, 0])  # E11 + E22
+    return TriangularAlgebra(scaled, e)
+
+
 SOLVER_ALGEBRAS = {
     "t3": lambda: upper_triangular(3, 2),
     "v": lambda: incidence_algebra(Poset(3, [(1, 3), (2, 3)]), [1, 2]),
     "block21": lambda: block_upper_triangular([2, 1], 1),
     "diamond": lambda: incidence_algebra(
         Poset(4, [(1, 2), (1, 3), (2, 4), (3, 4)]), [1, 2, 3]),
+    # no constructor algebra has a non-integer structure constant, so only
+    # this one makes the derivation system scale its table to integers
+    "t3_scaled": t3_scaled,
 }
 
 
@@ -163,6 +183,46 @@ def test_sparse_solver_matches_full_system(name, law):
     for phi in space:
         assert list(phi._flat) == sorted(phi._flat)
         assert phi == BilinearMap.from_flat(alg, phi.flat())
+
+
+def test_scaled_t3_has_a_non_integer_table():
+    items = t3_scaled().alg.structure_items()
+    assert [v for *_, v in items if v.denominator != 1] == [Fraction(1, 2)]
+
+
+def test_non_integer_table_maps_decompose():
+    t = t3_scaled()
+    space = solve_space(t.alg, MapLaw.LIE_BIDER)
+    assert len(space) == 11
+    for phi in space:
+        d = decompose(t, phi)
+        assert verify_decomposition(t, phi, d)
+        assert make_inner(t, d.lambda0) + make_extremal(t, d.r) + d.mu == phi
+
+
+def t3_reversed():
+    """T3 with its basis in reverse order: its product rows at the pairs
+    a >= c are not implied by those at a < c."""
+    alg = upper_triangular(3, 2).alg
+    last = alg.dim - 1
+    items = [(last - i, last - j, last - k, v) for i, j, k, v in alg.structure_items()]
+    return FiniteAlgebra(alg.dim, alg.basis_labels[::-1], items, alg.unit[::-1])
+
+
+ECHELON_ALGEBRAS = {name: lambda make=make: make().alg for name, make in SOLVER_ALGEBRAS.items()}
+ECHELON_ALGEBRAS.update(t2=lambda: upper_triangular(2, 1).alg,
+                        block22=lambda: block_upper_triangular([2, 2], 1).alg,
+                        one=one_dim, t3_reversed=t3_reversed)
+
+
+@pytest.mark.parametrize("lie", [False, True], ids=["product", "bracket"])
+@pytest.mark.parametrize("name", sorted(ECHELON_ALGEBRAS))
+def test_derivation_system_matches_dense_reference(name, lie):
+    # the reference reduces every (a, c) pair, both orders and a == c
+    # included, from Element arithmetic
+    alg = ECHELON_ALGEBRAS[name]()
+    assert (algebra_module._derivation_system(alg, lie)
+            == dense_oracle.derivation_echelon(alg, lie))
 
 
 def test_block_assoc_dimension(block21):

@@ -277,6 +277,58 @@ def test_duplicate_map_coefficient_is_input_error(tmp_path, capsys, t3_file, t3,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_zero_duplicate_structure_constant_is_input_error(tmp_path, capsys, t3, position):
+    # a zero-valued second row for an existing (i, j, k) is refused too, on
+    # either side of the nonzero row
+    doc = algebra_to_doc(t3.alg, t3.e)
+    assert doc["structure"][0][:3] == [0, 0, 0]
+    extra = [0, 0, 0, 0, 1]
+    if position == "first":
+        doc["structure"].insert(0, extra)
+    else:
+        doc["structure"].append(extra)
+    path = write_json(tmp_path / "duplicate.json", doc)
+    for argv in (["center", path], ["hypotheses", path], ["verify", path],
+                 ["decompose", path, str(tmp_path / "map.json")]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == []
+        assert "SchemaError" in err and "duplicate structure constant" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b'{"schema": 1, "dim": \xff}', b"[" * 100000],
+                         ids=["not-utf8", "too-deep"])
+def test_undecodable_file_is_input_error(tmp_path, capsys, t3_file, content):
+    # bytes that are not UTF-8 and nesting past the parser's recursion limit
+    # used to escape the loaders as UnicodeDecodeError and RecursionError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (["center", str(bad)], ["decompose", t3_file, str(bad)],
+                 ["build", "--kind", "incidence", "--poset", str(bad),
+                  "--downset", "1", "--out", str(tmp_path / "x.json")]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == []
+        assert "SchemaError: not valid JSON" in err
+        assert "Traceback" not in err
+
+
+def test_lone_surrogate_label_is_input_error(tmp_path, capsys, t2):
+    # "\ud800" is valid JSON, but it loads as a str that no UTF-8 report can
+    # print: verify used to crash on its witness lines
+    doc = algebra_to_doc(t2.alg, t2.e)
+    doc["basis_labels"][0] = "\ud800"
+    path = write_json(tmp_path / "surrogate.json", doc)
+    for command in ("verify", "center"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2, command
+        assert out == []
+        assert "SchemaError" in err and "lone surrogates" in err
+        assert "Traceback" not in err
+
+
 def test_float_structure_index_is_input_error(tmp_path, capsys, t3):
     doc = algebra_to_doc(t3.alg, t3.e)
     doc["structure"][0][0] = float(doc["structure"][0][0])
