@@ -49,40 +49,12 @@ class SparseMatrix:
         self.cols = cols
         self.entries = tuple(norm)
 
-    @classmethod
-    def from_dense(cls, rows_of_values):
-        rows = len(rows_of_values)
-        cols = len(rows_of_values[0]) if rows else 0
-        entries = []
-        for i, row in enumerate(rows_of_values):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v != 0:
-                    entries.append((i, j, Fraction(v)))
-        return cls(rows, cols, entries)
-
-    def to_dense(self):
-        m = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c, v) in self.entries:
-            m[r][c] = v
-        return m
-
     def row_dicts(self):
         """Rows as {col: Fraction} dicts, empty rows included."""
         out = [dict() for _ in range(self.rows)]
         for (r, c, v) in self.entries:
             out[r][c] = v
         return out
-
-    def mul_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.rows
-        for (r, c, v) in self.entries:
-            if vec[c]:
-                out[r] += v * vec[c]
-        return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)

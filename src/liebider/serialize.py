@@ -15,7 +15,7 @@ import json
 
 from .algebra import Element, FiniteAlgebra
 from .bider import BilinearMap
-from .triangular import Poset, TriangularAlgebra
+from .triangular import Disconnected, Poset, TriangularAlgebra
 
 ALGEBRA_SCHEMA = 1
 MAP_SCHEMA = 1
@@ -209,7 +209,9 @@ def load_poset(path):
     """Poset from JSON {"size": n, "covers": [[a, b], ...]}.
 
     The reflexive-transitive closure is computed on load; covers may be any
-    generating set of relations, not necessarily minimal.
+    generating set of relations, not necessarily minimal.  A connected poset
+    on n elements needs at least n - 1 relations, so a larger size raises
+    Disconnected before the (size+1)² closure is allocated.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -226,6 +228,8 @@ def load_poset(path):
                 or not all(_is_int(x) for x in row)):
             raise SchemaError("covers must be a list of [a, b] pairs")
         pairs.append((row[0], row[1]))
+    if size > len(pairs) + 1:
+        raise Disconnected("poset comparability graph is not connected")
     try:
         return Poset(size, pairs)
     except ValueError as exc:

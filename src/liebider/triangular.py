@@ -4,8 +4,11 @@ A triangular algebra here is a FiniteAlgebra together with an idempotent e
 such that f·T·e = 0 for f = 1 - e, the off-diagonal corner M = eTf is nonzero
 and faithful on both sides, and every basis element lies in exactly one
 Peirce component (all constructors produce such bases; loading validates it).
-The three example families are upper triangular matrices, block upper
-triangular matrices, and incidence algebras of finite posets.
+The three example families are upper triangular matrices T_n (the block
+upper triangular algebra with n blocks of size 1), block upper triangular
+matrices, and incidence algebras of finite posets.  All three are spanned by
+matrix units at a set of positions closed under composition, split by a sum
+of diagonal units, and built by one matrix-unit builder.
 """
 
 from fractions import Fraction
@@ -66,21 +69,6 @@ class Poset:
                 if rel[x][y] and rel[y][x]:
                     raise ValueError(f"not antisymmetric: {x} and {y} lie on a cycle")
         self.relation = rel
-
-    @classmethod
-    def from_relation(cls, size, relation):
-        """Build from a full boolean matrix {(x,y): x <= y}; validates the axioms."""
-        pairs = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)
-                 if relation[x - 1][y - 1] and x != y]
-        for x in range(1, size + 1):
-            if not relation[x - 1][x - 1]:
-                raise ValueError(f"not reflexive at {x}")
-        p = cls(size, pairs)
-        for x in range(1, size + 1):
-            for y in range(1, size + 1):
-                if p.relation[x][y] != bool(relation[x - 1][y - 1]):
-                    raise ValueError("relation is not transitively closed")
-        return p
 
     def leq(self, x, y):
         return self.relation[x][y]
@@ -487,39 +475,35 @@ class HypothesisReport:
 # -- constructors ---------------------------------------------------------
 
 
-def _matrix_unit_algebra(positions, labels, diag):
-    """Algebra spanned by matrix units at the given (p, q) positions."""
+def _matrix_units(positions, labels, points, split):
+    """Triangular algebra spanned by the matrix units E_pq at positions.
+
+    The positions must be closed under composition and hold (p, p) for every
+    p in points: E_pq·E_rs = δ_qr·E_ps, the unit is Σ_{p in points} E_pp,
+    e = Σ_{p in split} E_pp, and the diagonal indices follow points.
+    """
     index = {pq: i for i, pq in enumerate(positions)}
-    structure = {}
-    for i, (p, q) in enumerate(positions):
-        for j, (r, s) in enumerate(positions):
-            if q == r and (p, s) in index:
-                structure[(i, j, index[(p, s)])] = Fraction(1)
+    structure = {(i, j, index[(p, s)]): Fraction(1)
+                 for i, (p, q) in enumerate(positions)
+                 for j, (r, s) in enumerate(positions) if q == r}
+    diag = [index[(p, p)] for p in points]
     unit = [Fraction(0)] * len(positions)
-    for p in diag:
-        unit[index[(p, p)]] = Fraction(1)
-    return FiniteAlgebra(len(positions), labels, structure, unit), index
-
-
-def _unit_label(p, q, wide):
-    return f"E{p + 1},{q + 1}" if wide else f"E{p + 1}{q + 1}"
+    e = [Fraction(0)] * len(positions)
+    for i in diag:
+        unit[i] = Fraction(1)
+    for p in split:
+        e[index[(p, p)]] = Fraction(1)
+    alg = FiniteAlgebra(len(positions), labels, structure, unit)
+    return TriangularAlgebra(alg, Element(alg, e), diag_indices=diag)
 
 
 def upper_triangular(n, k):
-    """T_n(Q) split at row k: e = E_11 + ... + E_kk."""
+    """T_n(Q) split at row k, the block algebra of n 1×1 blocks: e = E_11 + ... + E_kk."""
     if n < 2:
         raise BadSplit("n must be at least 2")
     if not 1 <= k <= n - 1:
         raise BadSplit(f"split k={k} out of range 1..{n - 1}")
-    positions = [(p, q) for p in range(n) for q in range(p, n)]
-    wide = n > 9
-    labels = [_unit_label(p, q, wide) for (p, q) in positions]
-    alg, index = _matrix_unit_algebra(positions, labels, range(n))
-    e = [Fraction(0)] * alg.dim
-    for p in range(k):
-        e[index[(p, p)]] = Fraction(1)
-    diag = [index[(p, p)] for p in range(n)]
-    return TriangularAlgebra(alg, Element(alg, e), diag_indices=diag)
+    return block_upper_triangular([1] * n, k)
 
 
 def block_upper_triangular(dims, j):
@@ -537,15 +521,9 @@ def block_upper_triangular(dims, j):
         block_of.extend([bi] * d)
     positions = [(p, q) for p in range(n) for q in range(n)
                  if block_of[p] <= block_of[q]]
-    wide = n > 9
-    labels = [_unit_label(p, q, wide) for (p, q) in positions]
-    alg, index = _matrix_unit_algebra(positions, labels, range(n))
-    split_row = sum(dims[:j])
-    e = [Fraction(0)] * alg.dim
-    for p in range(split_row):
-        e[index[(p, p)]] = Fraction(1)
-    diag = [index[(p, p)] for p in range(n)]
-    return TriangularAlgebra(alg, Element(alg, e), diag_indices=diag)
+    sep = "," if n > 9 else ""
+    labels = [f"E{p + 1}{sep}{q + 1}" for (p, q) in positions]
+    return _matrix_units(positions, labels, range(n), range(sum(dims[:j])))
 
 
 def incidence_algebra(p, downset):
@@ -565,21 +543,7 @@ def incidence_algebra(p, downset):
     if not p.is_downset(s):
         raise BadSplit("split set is not a downset")
     pairs = p.pairs()
-    index = {xy: i for i, xy in enumerate(pairs)}
-    labels = [f"e{x}_{y}" for (x, y) in pairs]
-    structure = {}
-    for i, (x, y) in enumerate(pairs):
-        for j, (z, u) in enumerate(pairs):
-            if y == z:
-                structure[(i, j, index[(x, u)])] = Fraction(1)
-    unit = [Fraction(0)] * len(pairs)
-    for x in range(1, p.size + 1):
-        unit[index[(x, x)]] = Fraction(1)
-    alg = FiniteAlgebra(len(pairs), labels, structure, unit)
-    e = [Fraction(0)] * alg.dim
-    for x in sorted(s):
-        e[index[(x, x)]] = Fraction(1)
-    diag = [index[(x, x)] for x in range(1, p.size + 1)]
     if not any(x in s and y not in s for (x, y) in pairs):
         raise BadSplit("no relation crosses the downset: bimodule is zero")
-    return TriangularAlgebra(alg, Element(alg, e), diag_indices=diag)
+    labels = [f"e{x}_{y}" for (x, y) in pairs]
+    return _matrix_units(pairs, labels, range(1, p.size + 1), s)

@@ -14,10 +14,10 @@ import time
 import pytest
 
 from dense_oracle import solve_law_dense
+from matrix_helpers import from_dense
 from liebider import (
     MapLaw,
     SpanChecker,
-    SparseMatrix,
     block_upper_triangular,
     center_basis,
     decompose,
@@ -156,7 +156,7 @@ def _bracket_annihilator(alg):
             br = lie_bracket(x, y)
             if not br.is_zero():
                 rows.append(tuple(br.coords))
-    return nullspace(SparseMatrix.from_dense(sorted(set(rows))))
+    return nullspace(from_dense(sorted(set(rows))))
 
 
 def test_criterion_4_associative_case_subsumed(solved):

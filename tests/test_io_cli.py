@@ -193,6 +193,20 @@ def test_build_disconnected_poset(tmp_path, capsys):
     assert "Disconnected" in err
 
 
+def test_build_poset_too_large_to_be_connected(tmp_path, capsys):
+    # the order relation of this size cannot even be indexed: the file is
+    # refused before the relation is built
+    poset = write_json(tmp_path / "p.json",
+                       {"size": 10 ** 19, "covers": [[1, 2]]})
+    code, out, err = run_cli(capsys, "build", "--kind", "incidence",
+                             "--poset", poset, "--downset", "1",
+                             "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert out == []
+    assert "Disconnected" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(tmp_path / "absent.json"))
     assert code == 2

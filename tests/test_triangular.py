@@ -9,6 +9,7 @@ from liebider import (BadSplit, Disconnected, NotInProjection, Poset,
                       block_upper_triangular, center_basis, hypothesis_report,
                       incidence_algebra, lie_bracket, multiply, peirce,
                       standard_form_check, tau, tau_inv, upper_triangular)
+from liebider.serialize import algebra_fingerprint
 
 
 # -- upper_triangular ----------------------------------------------------------
@@ -133,6 +134,66 @@ def test_v_poset_incidence():
     assert not rep.all_pass()
 
 
+# -- one matrix-unit builder -------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tn_is_block_algebra_of_unit_blocks(n):
+    for k in range(1, n):
+        t = upper_triangular(n, k)
+        b = block_upper_triangular([1] * n, k)
+        assert algebra_fingerprint(t.alg, t.e) == algebra_fingerprint(b.alg, b.e)
+        assert t.diag_indices == b.diag_indices
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chain_incidence_is_tn_up_to_labels(n):
+    chain = Poset(n, [(x, x + 1) for x in range(1, n)])
+    for k in range(1, n):
+        t = upper_triangular(n, k)
+        c = incidence_algebra(chain, set(range(1, k + 1)))
+        assert c.alg.structure_items() == t.alg.structure_items()
+        assert c.alg.unit == t.alg.unit
+        assert c.e.coords == t.e.coords
+        assert c.diag_indices == t.diag_indices
+        assert c.alg.basis_labels != t.alg.basis_labels
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: upper_triangular(1, 1), BadSplit, "n must be at least 2"),
+    (lambda: upper_triangular(2, 0), BadSplit, "split k=0 out of range 1..1"),
+    (lambda: upper_triangular(4, 4), BadSplit, "split k=4 out of range 1..3"),
+    (lambda: block_upper_triangular([3], 1), SingleBlock,
+     "a single block is a full matrix algebra, not triangular"),
+    (lambda: block_upper_triangular([], 1), BadSplit, "block sizes must be positive"),
+    (lambda: block_upper_triangular([2, 0], 1), BadSplit, "block sizes must be positive"),
+    (lambda: block_upper_triangular([2, 1], 0), BadSplit, "split j=0 out of range 1..1"),
+    (lambda: block_upper_triangular([2, 1, 1], 3), BadSplit,
+     "split j=3 out of range 1..2"),
+    (lambda: incidence_algebra(Poset(2, []), {1}), Disconnected,
+     "poset comparability graph is not connected"),
+    (lambda: incidence_algebra(chain3(), set()), BadSplit,
+     "downset must be nonempty and proper"),
+    (lambda: incidence_algebra(chain3(), {1, 2, 3}), BadSplit,
+     "downset must be nonempty and proper"),
+    (lambda: incidence_algebra(chain3(), {1, 4}), BadSplit,
+     "downset contains elements outside the poset"),
+    (lambda: incidence_algebra(chain3(), {2}), BadSplit, "split set is not a downset"),
+    (lambda: incidence_algebra(Poset(3, [(1, 2), (1, 3)]), {1, 2}), BadSplit,
+     "bimodule not faithful: some a in A kills eTf"),
+    (lambda: incidence_algebra(Poset(3, [(1, 3), (2, 3)]), {1}), BadSplit,
+     "bimodule not faithful: some b in B kills eTf"),
+    (lambda: Poset(0, []), ValueError, "poset size must be positive"),
+    (lambda: Poset(2, [(1, 3)]), ValueError, "relation (1,3) out of range"),
+    (lambda: Poset(3, [(1, 2), (2, 3), (3, 1)]), ValueError,
+     "not antisymmetric: 1 and 2 lie on a cycle"),
+])
+def test_constructor_rejections(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 # -- Poset -----------------------------------------------------------------------
 
 def test_poset_closure_and_leq():
@@ -141,16 +202,6 @@ def test_poset_closure_and_leq():
     assert p.leq(2, 2)
     assert not p.leq(3, 1)
     assert (1, 3) in p.pairs()
-
-
-def test_poset_from_relation():
-    full = [[True, True, True], [False, True, True], [False, False, True]]
-    p = Poset.from_relation(3, full)
-    assert p.pairs() == chain3().pairs()
-    not_closed = [[True, True, False], [False, True, True],
-                  [False, False, True]]
-    with pytest.raises(ValueError):
-        Poset.from_relation(3, not_closed)
 
 
 def test_poset_rejects_cycles():
