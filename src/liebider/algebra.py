@@ -2,8 +2,11 @@
 
 An algebra is a basis b_0..b_{dim-1} plus the sparse tensor c[i][j][k] with
 b_i b_j = sum_k c[i][j][k] b_k and the coordinates of the unit.  Construction
-validates associativity on all basis triples and the unit law, so anything
-that survives the constructor really is an associative unital algebra.
+checks the unit law and then associativity on every basis triple, so anything
+that survives the constructor really is an associative unital algebra.  The
+associativity check runs on an integer copy of the sparse table and visits
+only the nonzero products, so its cost grows with the number of nonzero
+(b_i b_j) b_l and b_i (b_j b_l) terms, not with dim**3.
 
 This module is also the structure-table layer that the solver, the
 decomposition and the checks share.  The product table {(i, j): {k: c}} is
@@ -31,7 +34,7 @@ as the triangular algebra does.
 from fractions import Fraction
 from math import lcm
 
-from .linalg import RowReducer, SparseMatrix, nullspace
+from .linalg import RowReducer, nullspace_from_reducer
 
 
 class MixedAlgebras(Exception):
@@ -74,37 +77,42 @@ class FiniteAlgebra:
 
     def _validate(self):
         dim = self.dim
-        # unit law on basis vectors
+        # unit law on basis vectors, over the unit's support
+        support = [(j, u) for j, u in enumerate(self.unit) if u]
         for i in range(dim):
-            left = {}
-            right = {}
-            for j, u in enumerate(self.unit):
-                if u == 0:
-                    continue
-                for k, v in self._mul_basis(j, i).items():
-                    left[k] = left.get(k, 0) + u * v
-                for k, v in self._mul_basis(i, j).items():
-                    right[k] = right.get(k, 0) + u * v
+            left = _combine([(u, self._mul_basis(j, i)) for j, u in support])
+            right = _combine([(u, self._mul_basis(i, j)) for j, u in support])
             want = {i: Fraction(1)}
-            if {k: v for k, v in left.items() if v} != want:
+            if left != want:
                 raise ValueError(f"unit fails on the left at basis {i}")
-            if {k: v for k, v in right.items() if v} != want:
+            if right != want:
                 raise ValueError(f"unit fails on the right at basis {i}")
-        # associativity on all basis triples
+        # associativity on the integer table, the table times the lcm den
+        # of its denominators: both sides of (b_i b_j) b_l = b_i (b_j b_l)
+        # carry two table factors, so both scale by den**2.  For each pair
+        # (i, j), diff[l, m] collects coordinate m of the left side minus
+        # the right side for every l at once, from the nonzero products
+        # only (a triple without one has both sides zero); the smallest l
+        # with a nonzero entry is the first failing triple.
+        tab = _integer_table(self._prod)
+        right_of = [[] for _ in range(dim)]
+        for (k, l), row in sorted(tab.items()):
+            right_of[k].append((l, row))
+        none = {}
         for i in range(dim):
             for j in range(dim):
-                ij = self._mul_basis(i, j)
-                for l in range(dim):
-                    lhs = {}
-                    for k, v in ij.items():
-                        for m, w in self._mul_basis(k, l).items():
-                            lhs[m] = lhs.get(m, 0) + v * w
-                    rhs = {}
-                    for k, v in self._mul_basis(j, l).items():
-                        for m, w in self._mul_basis(i, k).items():
-                            rhs[m] = rhs.get(m, 0) + v * w
-                    if {m: v for m, v in lhs.items() if v} != {m: v for m, v in rhs.items() if v}:
-                        raise ValueError(f"not associative at basis triple ({i},{j},{l})")
+                diff = {}
+                for k, v in tab.get((i, j), none).items():
+                    for l, row in right_of[k]:
+                        for m, w in row.items():
+                            diff[l, m] = diff.get((l, m), 0) + v * w
+                for l, row in right_of[j]:
+                    for k, v in row.items():
+                        for m, w in tab.get((i, k), none).items():
+                            diff[l, m] = diff.get((l, m), 0) - v * w
+                bad = [l for (l, _), v in diff.items() if v]
+                if bad:
+                    raise ValueError(f"not associative at basis triple ({i},{j},{min(bad)})")
 
     def structure_items(self):
         """Structure constants as a sorted list of (i, j, k, value)."""
@@ -236,6 +244,14 @@ def _cached(alg, key, build):
     return value
 
 
+def _integer_table(tab):
+    """A {key: {k: Fraction}} table times the lcm of its denominators, as
+    {key: {k: int}}."""
+    den = lcm(*(v.denominator for row in tab.values() for v in row.values()))
+    return {key: {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+            for key, row in tab.items()}
+
+
 def _bracket_table(alg):
     prod = alg._prod
     tab = {}
@@ -303,10 +319,7 @@ def _derivation_system(alg, lie):
     multiple of its RREF row.
     """
     dim = alg.dim
-    tab = _table(alg, lie)
-    den = lcm(*(v.denominator for row in tab.values() for v in row.values()))
-    tab = {key: {k: v.numerator * (den // v.denominator) for k, v in row.items()}
-           for key, row in tab.items()}
+    tab = _integer_table(_table(alg, lie))
     red = RowReducer(dim * dim)
     for a in range(dim):
         # the bracket is antisymmetric: the (c, a) rows are the (a, c) rows
@@ -339,11 +352,16 @@ def center_basis(alg):
 
 
 def _center_coords(alg):
-    dim = alg.dim
-    # row (i, k): sum_j z_j [b_j, b_i]_k = 0
-    entries = [(i * dim + k, j, v)
-               for (j, i), row in _brackets(alg).items() for k, v in row.items()]
-    return tuple(nullspace(SparseMatrix(dim * dim, dim, entries)))
+    # row (i, k): sum_j z_j [b_j, b_i]_k = 0, on the integer bracket table
+    # (one common factor scales every row, so the kernel is unchanged)
+    rows = {}
+    for (j, i), row in _integer_table(_brackets(alg)).items():
+        for k, v in row.items():
+            rows.setdefault((i, k), {})[j] = v
+    red = RowReducer(alg.dim)
+    for key in sorted(rows):
+        red.add_row(rows[key])
+    return tuple(nullspace_from_reducer(red, alg.dim))
 
 
 def is_commutative(alg):

@@ -19,8 +19,8 @@ from .bider import MapLaw, lemma31_failures, solve_space
 from .decomp import (NoCentralLambda, NotLieBider, ResidualNotCentral,
                      decompose, lemma_suite)
 from .serialize import (FingerprintMismatch, SchemaError, algebra_fingerprint,
-                        load_algebra, load_map, load_poset, load_triangular,
-                        save_algebra, save_map)
+                        fingerprint, load_algebra, load_map, load_poset,
+                        load_triangular, save_algebra, save_map)
 from .triangular import (ConstructionError, block_upper_triangular,
                          hypothesis_report, incidence_algebra, upper_triangular)
 
@@ -69,8 +69,7 @@ def _cmd_build(args):
             raise SchemaError("--kind incidence needs --poset and --downset")
         p = load_poset(args.poset)
         t = incidence_algebra(p, _csv_ints(args.downset, "--downset"))
-    doc = save_algebra(args.out, t.alg, t.e)
-    fpr = algebra_fingerprint(t.alg, t.e)
+    fpr = fingerprint(save_algebra(args.out, t.alg, t.e))
     lines = [
         f"kind: {args.kind}",
         f"dim: {t.alg.dim}",

@@ -2,8 +2,11 @@
 
 Rationals are stored as [numerator, denominator] integer pairs so a file
 round-trips bit-exactly.  An algebra file carries the full structure
-constant table and is revalidated on load, which re-runs the associativity
-and unit checks.  Map files do not repeat the algebra; they carry a
+constant table and is revalidated on load: the unit and associativity
+checks on the sparse integer table, and, for a file with its idempotent,
+the Peirce split and the center.  Every CLI command reloads its algebra
+file, so each pays that once; it grows with the nonzero products, not
+with dim**3.  Map files do not repeat the algebra; they carry a
 content-hash fingerprint of the algebra document instead, because a
 coefficient tensor is meaningless under any other basis ordering and a
 silent mismatch is the likeliest user error.

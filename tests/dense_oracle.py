@@ -8,6 +8,10 @@ in the production solver and a bug here would have to agree by accident.
 The same holds for decompose(), verify_decomposition() and law_witness()
 below: they evaluate every bracket and product as Element arithmetic and
 never touch the library's cached decomposition tables.
+validate(), peirce_split() and center() are the references for algebra
+construction: the unit and associativity checks on every basis triple from
+a table built here out of the raw structure constants, and the Peirce split,
+faithfulness and center from Element arithmetic.
 Slow on purpose; meant for cross-checking on small algebras.
 """
 
@@ -18,6 +22,112 @@ from liebider import (BilinearMap, Decomposition, Inconsistent, MapLaw,
                       NoCentralLambda, NotLieBider, ResidualNotCentral,
                       SparseMatrix, law_residual, lie_bracket, multiply,
                       solve)
+
+
+# -- algebra construction ------------------------------------------------------
+
+def validate(dim, structure, unit):
+    """Reference for FiniteAlgebra's unit and associativity checks.
+
+    structure is a list of (i, j, k, value).  The unit law runs first, on
+    every basis vector, then associativity on all dim**3 basis triples in
+    lexicographic order, in Fraction arithmetic.  Raises ValueError with
+    the library's message at the first failure.
+    """
+    table = {}
+    for i, j, k, v in structure:
+        if v:
+            table.setdefault((i, j), {})[k] = Fraction(v)
+
+    def mul(i, j):
+        return table.get((i, j), {})
+
+    unit = [Fraction(u) for u in unit]
+    for i in range(dim):
+        left = {}
+        right = {}
+        for j, u in enumerate(unit):
+            if u == 0:
+                continue
+            for k, v in mul(j, i).items():
+                left[k] = left.get(k, 0) + u * v
+            for k, v in mul(i, j).items():
+                right[k] = right.get(k, 0) + u * v
+        want = {i: Fraction(1)}
+        if {k: v for k, v in left.items() if v} != want:
+            raise ValueError(f"unit fails on the left at basis {i}")
+        if {k: v for k, v in right.items() if v} != want:
+            raise ValueError(f"unit fails on the right at basis {i}")
+    for i in range(dim):
+        for j in range(dim):
+            ij = mul(i, j)
+            for l in range(dim):
+                lhs = {}
+                for k, v in ij.items():
+                    for m, w in mul(k, l).items():
+                        lhs[m] = lhs.get(m, 0) + v * w
+                rhs = {}
+                for k, v in mul(j, l).items():
+                    for m, w in mul(i, k).items():
+                        rhs[m] = rhs.get(m, 0) + v * w
+                if {m: v for m, v in lhs.items() if v} != {m: v for m, v in rhs.items() if v}:
+                    raise ValueError(f"not associative at basis triple ({i},{j},{l})")
+
+
+def _kills(alg, actors, m_idx, side):
+    """True if some nonzero combination of the actors annihilates every
+    m_idx basis element, acting on the left or on the right."""
+    basis = alg.basis()
+    rows = []
+    for m in m_idx:
+        cols = [(multiply(basis[a], basis[m]) if side == "left"
+                 else multiply(basis[m], basis[a])).coords for a in actors]
+        rows.extend([col[o] for col in cols] for o in range(alg.dim))
+    return bool(dense_kernel(int_rows(rows), len(actors)))
+
+
+def peirce_split(alg, e):
+    """Reference for TriangularAlgebra's checks: e idempotent, f·T·e = 0,
+    every basis element in one Peirce component, eTf nonzero and faithful
+    on both sides.  Returns (a_indices, m_indices, b_indices) or raises
+    ValueError with the library's message."""
+    if multiply(e, e) != e:
+        raise ValueError("e is not idempotent")
+    f = alg.unit_element() - e
+    a_idx, m_idx, b_idx = [], [], []
+    for i in range(alg.dim):
+        bi = alg.basis_element(i)
+        if not multiply(multiply(f, bi), e).is_zero():
+            raise ValueError(f"f·T·e is nonzero at basis element {i}")
+        a = multiply(multiply(e, bi), e)
+        m = multiply(multiply(e, bi), f)
+        b = multiply(multiply(f, bi), f)
+        if a == bi and m.is_zero() and b.is_zero():
+            a_idx.append(i)
+        elif m == bi and a.is_zero() and b.is_zero():
+            m_idx.append(i)
+        elif b == bi and a.is_zero() and m.is_zero():
+            b_idx.append(i)
+        else:
+            raise ValueError(f"basis element {i} is not Peirce-homogeneous")
+    if not m_idx:
+        raise ValueError("the bimodule eTf is zero")
+    if _kills(alg, a_idx, m_idx, "left"):
+        raise ValueError("bimodule not faithful: some a in A kills eTf")
+    if _kills(alg, b_idx, m_idx, "right"):
+        raise ValueError("bimodule not faithful: some b in B kills eTf")
+    return tuple(a_idx), tuple(m_idx), tuple(b_idx)
+
+
+def center(alg):
+    """Canonical basis of the center, as coordinate tuples: the kernel of
+    z -> ([z, b_i])_i, brackets from Element arithmetic."""
+    basis = alg.basis()
+    rows = []
+    for bi in basis:
+        cols = [lie_bracket(bj, bi).coords for bj in basis]
+        rows.extend([col[k] for col in cols] for k in range(alg.dim))
+    return dense_kernel(int_rows(rows), alg.dim)
 
 
 def law_rows(alg, law):

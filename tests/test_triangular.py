@@ -194,6 +194,45 @@ def test_constructor_rejections(build, error, message):
     assert str(exc.value) == message
 
 
+def connected_posets(size):
+    """Every connected poset on {1..size}, once each, from every set of
+    strict relations (those with a cycle are skipped)."""
+    strict = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1) if x != y]
+    seen = {}
+    for mask in range(1 << len(strict)):
+        try:
+            p = Poset(size, [r for bit, r in enumerate(strict) if mask >> bit & 1])
+        except ValueError:
+            continue
+        key = tuple(map(tuple, p.relation))
+        if key not in seen and p.is_connected():
+            seen[key] = p
+    return list(seen.values())
+
+
+def test_every_proper_downset_of_a_connected_poset_is_crossed():
+    # a connected poset has a comparability x < y with x in the downset and
+    # y outside it (y <= x would put y in the downset), so eTf is never
+    # zero and incidence_algebra has no zero-bimodule case to reject
+    cases = 0
+    for size in range(2, 5):
+        for p in connected_posets(size):
+            for mask in range(1, (1 << size) - 1):
+                s = {x for x in range(1, size + 1) if mask >> (x - 1) & 1}
+                if not p.is_downset(s):
+                    continue
+                assert any(x in s and y not in s for x, y in p.pairs())
+                try:
+                    t = incidence_algebra(p, s)
+                except BadSplit as exc:
+                    assert str(exc).startswith("bimodule not faithful")
+                else:
+                    assert t.m_indices
+                cases += 1
+    # 2 + 12 + 146 connected posets on 2, 3 and 4 points
+    assert cases == 2 + 30 + 686
+
+
 # -- Poset -----------------------------------------------------------------------
 
 def test_poset_closure_and_leq():
