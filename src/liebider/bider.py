@@ -7,13 +7,13 @@ so the full solution space is a nullspace.  constraint_matrix assembles the
 naive system over all dim³ unknowns; solve_space exploits the slice
 structure of the laws (each one says certain dim²-slices are single-argument
 derivations), keeps every vector a sparse {flat index: value} dict up to the
-stored maps, and rewrites its answer in the canonical kernel basis, so both
-routes agree exactly.  Both read the algebra's cached structure tables
+stored maps, and emits its answer straight in the canonical kernel basis, so
+both routes agree exactly.  Both read the algebra's cached structure tables
 (algebra.py): the bracket or product table, and for solve_space the integer
-echelon rows of the derivation system, whose kernel it reads off directly as
-integer vectors.  So the derivation slices and the two-sided slice system stay
-in ints; only the slice system's kernel and the canonical basis hold
-Fractions.
+echelon rows of the derivation system.  solve_space reads the kernels of that
+system and of the two-sided slice system off their echelon rows as integer
+vectors, so everything stays in ints until each map is divided by its
+trailing entry, the one step that makes Fractions.
 lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
 basis quadruple on the bracket table; lemma31_residual is the
 Element-arithmetic reference it is tested against.
@@ -25,7 +25,7 @@ from math import lcm
 
 from .algebra import (Element, _brackets, _combine, _derivations, _identity_rows, _table,
                       lie_bracket, multiply)
-from .linalg import RowReducer, SparseMatrix, canonical_basis, nullspace_from_reducer
+from .linalg import RowReducer, SparseMatrix
 
 
 class NotCentral(Exception):
@@ -201,67 +201,69 @@ def constraint_matrix(alg, law):
     return SparseMatrix(nrow, dim ** 3, entries)
 
 
-def _derivation_slices(zero, rows, dim):
-    """Kernel basis of the derivation system, read off its echelon form.
+def _integer_kernel(rows, pivots, ncols):
+    """Kernel basis of an integer echelon system, read off its rows.
 
-    One vector per free column f in ascending order: the kernel vector
-    that is 1 at f, 0 at the other free columns and -row[f]/row[p] at each
-    pivot p, times the lcm m of those row[p], so that its values are ints
-    (m at f).  Only the span of the vectors is used downstream.  Each
-    vector is returned as its slice [{k: v} for each a]: d(b_a) =
-    sum_k v*b_k.
+    rows are (pivot p, {col: int}) pairs of a fully inter-reduced echelon
+    form, pivots every pivot column.  One {col: int} vector per free column
+    f, ascending: 1 at f, 0 at the other free columns and -row[f]/row[p] at
+    each pivot p, all times the lcm m of those row[p].  Each such p is
+    below f, so m at f is the last nonzero entry.
     """
-    pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
     solved = {}  # free column f -> [(pivot p, -row[f], row[p])]
-    for cols, vals in rows:
-        for c, v in zip(cols[1:], vals[1:]):
-            if c not in pivots:
-                solved.setdefault(c, []).append((cols[0], -v, vals[0]))
-    slices = []
-    for f in range(dim * dim):
-        if f in pivots:
-            continue
-        entries = solved.get(f, [])
-        m = lcm(*(pv for _, _, pv in entries))
-        sl = [dict() for _ in range(dim)]
-        for flat, v in sorted([(p, v * (m // pv)) for p, v, pv in entries] + [(f, m)]):
-            a, k = divmod(flat, dim)
-            sl[a][k] = v
-        slices.append(sl)
-    return slices
+    for p, row in rows:
+        pv = row[p]
+        for c, v in row.items():
+            if c != p:
+                solved.setdefault(c, []).append((p, -v, pv))
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            entries = solved.get(f, [])
+            m = lcm(*(pv for _, _, pv in entries))
+            kernel.append({p: v * (m // pv) for p, v, pv in entries} | {f: m})
+    return kernel
+
+
+def _derivation_basis(zero, rows, dim):
+    """The _integer_kernel of the derivation system (zero, rows): one
+    derivation D per free column, as {a·dim + k: v} with D(b_a) = Σ_k v·b_k."""
+    pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
+    return _integer_kernel([(cols[0], dict(zip(cols, vals))) for cols, vals in rows],
+                           pivots, dim * dim)
 
 
 def solve_space(alg, law):
     """Canonical basis of all bilinear maps satisfying the law.
 
-    Uses the slice structure: a slot obeys its law iff every slice of the
-    tensor along that slot's fixed index is a single-argument derivation.
-    The two-sided laws reduce to a system over slice coordinates in the
-    derivation space, far smaller than the naive dim³ system.  The
-    derivation system comes from the algebra's table cache, so the laws of
-    one kind share it.  Both routes emit sparse {flat index: value} vectors,
-    canonicalized (still sparse) to equal nullspace(constraint_matrix(alg,
-    law)) and stored as the maps.
+    A slot obeys its law iff every slice of the tensor along that slot's
+    fixed index l is a single-argument derivation, so every solution is
+    Σ x[l][s]·D_s, D_s placed at l, over the integer derivation basis D_s
+    (from the algebra's cached derivation system).  A one-sided law leaves
+    x free: its kernel is every unit vector (l, s).  A two-sided law cuts x
+    out by a system over the dim·nd slice coordinates, far smaller than the
+    naive dim³ system.
+
+    No dim³ reduction follows: x is nonzero at its last free column (l, s)
+    and 0 at the other free ones, D_s is m_s at its last nonzero column f_s
+    and 0 at the other free ones, and (l, s) → (l, f_s) keeps the column
+    order for a fixed l.  So each map, divided by its last entry, is a
+    canonical kernel vector of nullspace(constraint_matrix(alg, law)), and
+    sorting by last column orders them (only lie-deriv-1, whose l is the
+    middle index, interleaves).  Maps are sparse {flat index: Fraction}
+    dicts in ascending index order.
     """
     dim = alg.dim
     zero, rows = _derivations(alg, law.lie)
-    slices = _derivation_slices(zero, rows, dim)  # slices[s][a] = {k: v}: d_s(b_a) = Σ_k v·b_k
-    nd = len(slices)
+    derivs = _derivation_basis(zero, rows, dim)
+    nd = len(derivs)
     first, second = law.slots
-    vectors = []
     if first != second:
-        # one-sided law: independent derivation slices along the free index
-        for l in range(dim):
-            for sl in slices:
-                vec = {}
-                for a, part in enumerate(sl):
-                    base = (a * dim + l) * dim if first else (l * dim + a) * dim
-                    vec.update((base + k, v) for k, v in part.items())
-                vectors.append(vec)
-    elif nd:
-        # t[i][j][k] = Σ_s x[i][s]·D_s[j][k]; impose that every second-index
-        # slice is itself a derivation, via the integer echelon rows of the
-        # system; the slices D_s are integer too, so every row is
+        kernel = [{col: 1} for col in range(dim * nd)]
+    else:
+        # impose that every second-index slice is itself a derivation, via
+        # the integer echelon rows of the system; the D_s are integer too,
+        # so every row is
         grouped = []  # each echelon row as [(a, [(k, v)])], in pivot order
         for cols, vals in sorted([((c,), (1,)) for c, z in enumerate(zero) if z] + list(rows)):
             parts = {}
@@ -269,12 +271,13 @@ def solve_space(alg, law):
                 a, k = divmod(flat, dim)
                 parts.setdefault(a, []).append((k, v))
             grouped.append(list(parts.items()))
+        at = [{} for _ in range(dim)]  # at[l][k] = [(s, D_s[l][k])]
+        for s, d in enumerate(derivs):
+            for flat, w in d.items():
+                l, k = divmod(flat, dim)
+                at[l].setdefault(k, []).append((s, w))
         red = RowReducer(dim * nd)
-        for l in range(dim):
-            by_k = {}  # k -> [(s, D_s[l][k])]
-            for s, sl in enumerate(slices):
-                for k, w in sl[l].items():
-                    by_k.setdefault(k, []).append((s, w))
+        for by_k in at:
             for parts in grouped:
                 out = {}
                 for a, part in parts:
@@ -287,17 +290,27 @@ def solve_space(alg, law):
                             out[a * nd + s] = c
                 if out:
                     red.add_row(out)
-        for x in nullspace_from_reducer(red, dim * nd):
-            vec = {}
-            for flat, c in enumerate(x):
-                if c:
-                    a, s = divmod(flat, nd)
-                    for j, part in enumerate(slices[s]):
-                        base = (a * dim + j) * dim
-                        for k, v in part.items():
-                            vec[base + k] = vec.get(base + k, 0) + c * v
-            vectors.append(vec)
-    return [BilinearMap._of(alg, vec) for vec in canonical_basis(vectors, dim ** 3)]
+        kernel = _integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim * nd)
+    # D_s(b_a)_k lands at l·l_step + a·a_step + k: the fixed index l is the
+    # first tensor index, except for lie-deriv-1
+    l_step, a_step = (dim, dim * dim) if first and not second else (dim * dim, dim)
+    placed = [[(flat // dim * a_step + flat % dim, v) for flat, v in d.items()] for d in derivs]
+    maps = []
+    quotients = {}  # (v, m) -> Fraction(v, m): the maps share few distinct values
+    for x in kernel:
+        vec = {}
+        for col, c in x.items():
+            l, s = divmod(col, nd)
+            base = l * l_step
+            for off, v in placed[s]:
+                f = base + off
+                vec[f] = vec[f] + c * v if f in vec else c * v
+        last = max(vec)
+        m = vec[last]
+        maps.append((last, {f: quotients.get((v, m)) or quotients.setdefault((v, m), Fraction(v, m))
+                            for f, v in sorted(vec.items()) if v}))
+    maps.sort(key=lambda pair: pair[0])
+    return [BilinearMap._of(alg, vec) for _, vec in maps]
 
 
 def make_inner(t, lam):

@@ -9,6 +9,7 @@ failure, 4 verification failure.
 
 from fractions import Fraction
 import argparse
+import functools
 import json
 import os
 import sys
@@ -344,7 +345,9 @@ def _cmd_hypotheses(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on first use and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="liebider",
         description="Construct triangular algebras, solve Lie biderivation "
@@ -399,8 +402,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, FingerprintMismatch, ConstructionError) as exc:

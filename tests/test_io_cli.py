@@ -478,3 +478,38 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
     assert "dim: 3" in proc.stdout
+
+
+def test_shared_parser_gives_fresh_parser_bodies(tmp_path, monkeypatch, capsys):
+    # main builds its argparse tree once and reuses it, through an argparse
+    # error too; every body must match a main whose parser is built anew
+    from liebider import cli
+    commands = [["build", "--kind", "tn", "--n", "3", "--k", "2", "--out", "alg.json"],
+                ["solve", "alg.json"],
+                ["solve", "alg.json", "--law", "lie-bider", "--outdir", "maps"],
+                ["decompose", "alg.json", "maps/map_003.json"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, body(captured.out.splitlines()), captured.err
+
+    outputs = {}
+    for name, fresh in (("shared", False), ("fresh", True)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        parser = cli._build_parser()
+        outputs[name] = []
+        for argv in commands:
+            if fresh:
+                cli._build_parser.cache_clear()
+            outputs[name].append(run(argv))
+        assert (cli._build_parser() is parser) is not fresh
+    assert [code for code, _, _ in outputs["shared"]] == [0, 2, 0, 0]
+    assert "--law" in outputs["shared"][1][2]
+    assert outputs["shared"] == outputs["fresh"]
+    for sub in ("alg.json", "maps/map_000.json", "maps/map_010.json"):
+        assert (tmp_path / "shared" / sub).read_bytes() == (tmp_path / "fresh" / sub).read_bytes()
