@@ -14,8 +14,8 @@ the algebra's own _prod.  Each algebra keeps one lazily filled cache, _cache,
 for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
 integer echelon form of the single-argument derivation system of each law
 kind (_derivations, built once per kind, from an integer copy of the table
-and, for the bracket, from the pairs a < c only) and the center's
-coordinates.
+and, for the bracket, from the pairs a < c only), the Lie kind's echelon
+rows indexed by column (_derivation_columns) and the center's coordinates.
 Cached values are ints, Fractions, bytes, dicts and tuples only, never
 Elements or the algebra itself, so an algebra stays free of reference
 cycles.  They are shared, not copied: callers read them and never change
@@ -336,6 +336,20 @@ def _derivation_system(alg, lie):
 def _derivations(alg, lie):
     """_derivation_system(alg, lie), built once per algebra and law kind."""
     return _cached(alg, ("derivations", lie), lambda a: _derivation_system(a, lie))
+
+
+def _derivation_columns(alg):
+    """The rows of _derivations(alg, True) by column, built once per
+    algebra: {col: ((row number, value), ...)} over the columns that some
+    row meets, so a sparse vector's products with every row are summed
+    from its own support only."""
+    def index(alg):
+        out = {}
+        for n, (cols, vals) in enumerate(_derivations(alg, True)[1]):
+            for col, v in zip(cols, vals):
+                out.setdefault(col, []).append((n, v))
+        return {col: tuple(hits) for col, hits in out.items()}
+    return _cached(alg, "derivation columns", index)
 
 
 def center_basis(alg):

@@ -15,11 +15,16 @@ structural identities on the Peirce components that any such map must
 satisfy, solving for the scalar alpha0 once and testing every basis pair.
 
 decompose(), verify_decomposition() and the law witness work on sparse
-{coordinate: Fraction} rows, never on dense Elements.  The law test and
-the extraction read the algebra's structure tables (see algebra.py): the
-bracket table [b_i, b_j] and the integer echelon form of the Lie
-derivation system, the same cached form solve_space uses, so solving and
-decomposing on one algebra build it once.  lambda0, like alpha0 in
+{coordinate: Fraction} rows, never on dense Elements, and visit only the
+terms that can be nonzero.  The law test and the extraction read the
+algebra's structure tables (see algebra.py): the bracket table
+[b_i, b_j] and the integer echelon form of the Lie derivation system, the
+same cached form solve_space uses, so solving and decomposing on one
+algebra build it once.  The law test reads the echelon rows through their
+column index (algebra._derivation_columns): one pass over the map's
+nonzero coefficients sums every slice's products with the rows that meet
+it.  It returns a verdict, and decompose() raises NotLieBider itself, with
+the first failing basis triple as witness.  lambda0, like alpha0 in
 lemma_suite() and tau in triangular.py, is a central-coefficient solve
 (triangular._central_system and _central_solution).  The lambda0
 system's coefficients depend on the triangular structure only; it is
@@ -27,9 +32,13 @@ built on the first decompose() and cached in the triangular algebra's
 _cache (see _lambda_system).  Each map then only supplies its right-hand
 side, so decomposing a whole space in a loop pays for the tables once.
 [b_i, [b_j, r]] and lambda0*[b_i, b_j] are read off the bracket table,
-linear in the support of r and lambda0.
-verify_decomposition() rebuilds every value from the structure constants
-alone, so it shares no cached data with what it checks.
+linear in the support of r and lambda0, and mu is formed at the pairs
+where the residual or the bracket is nonzero.
+verify_decomposition() rebuilds the brackets from the product table in a
+pass of its own, so it shares no cached data with what it checks.  It
+adds up lambda0*[b_i, b_j], [b_i, [b_j, r]] and mu at the pairs these
+terms reach and compares with phi there and at phi's own pairs; at every
+other pair both sides vanish, so the check covers every basis pair.
 
 Where the literature shows sign discrepancies between a statement and its
 proof, the suite tests both candidate signs and records which one holds,
@@ -37,8 +46,10 @@ instead of silently picking a side.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .algebra import Element, _brackets, _cached, _combine, _derivations, lie_bracket, multiply
+from .algebra import (Element, _brackets, _cached, _combine, _derivation_columns, _derivations,
+                      lie_bracket, multiply)
 from .bider import BilinearMap
 from .triangular import NotInProjection, _central_solution, _central_system, tau_inv
 
@@ -114,34 +125,34 @@ def _lambda_system(t):
     return _central_system(columns)
 
 
-def _extremal(alg, r):
-    """{(i, j): [b_i, [b_j, r]]}, nonzero values only."""
-    br = _brackets(alg)
-    empty = {}
-    r_terms = [(k, c) for k, c in enumerate(r.coords) if c]
+def _times_basis(alg, x):
+    """[x*b_p for every p] as sparse rows, x given by its coordinates."""
+    terms = [(a, c) for a, c in enumerate(x) if c]
+    return [_combine([(c, alg._mul_basis(a, p)) for a, c in terms]) for p in range(alg.dim)]
+
+
+def _extremal(br, r):
+    """{(i, j): [b_i, [b_j, r]]}, nonzero values only, from the bracket
+    table br and r's coordinates: [b_j, r] from the rows (j, k) with r_k
+    nonzero, then [b_i, [b_j, r]] from the rows (i, p) with p in its
+    support."""
+    by_right = {}  # p -> [(i, [b_i, b_p])]
+    inner = {}     # j -> [(r_k, [b_j, b_k])]
+    for (i, p), row in br.items():
+        by_right.setdefault(p, []).append((i, row))
+        if r[p]:
+            inner.setdefault(i, []).append((r[p], row))
     out = {}
-    for j in range(alg.dim):
-        inner = _combine([(c, br.get((j, k), empty)) for k, c in r_terms])
-        if not inner:
-            continue
-        for i in range(alg.dim):
-            row = _combine([(c, br.get((i, p), empty)) for p, c in inner.items()])
+    for j, terms in inner.items():
+        outer = {}
+        for p, c in _combine(terms).items():
+            for i, row in by_right.get(p, ()):
+                outer.setdefault(i, []).append((c, row))
+        for i, terms in outer.items():
+            row = _combine(terms)
             if row:
-                out[(i, j)] = row
+                out[i, j] = row
     return out
-
-
-def _slice_vector(coeffs, dim, fixed, first_fixed):
-    vec = {}
-    for other in range(dim):
-        key = (fixed, other) if first_fixed else (other, fixed)
-        row = coeffs.get(key)
-        if not row:
-            continue
-        base = other * dim
-        for k, v in row.items():
-            vec[base + k] = v
-    return vec
 
 
 def _law_witness(t, c):
@@ -175,29 +186,30 @@ def _law_witness(t, c):
     return None
 
 
-def _require_lie_bider(t, coeffs):
-    # a slot obeys its law iff every slice with that slot's partner index
-    # fixed is a Lie derivation, so membership against the derivation
-    # system's row space settles it without assembling dim^4 constraints
-    # zero[col] marks the echelon rows that only say col vanishes
-    zero, rows = _derivations(t.alg, True)
-    dim = t.alg.dim
-    for first_fixed in (False, True):
-        for fixed in range(dim):
-            vec = _slice_vector(coeffs, dim, fixed, first_fixed)
-            if not vec:
-                continue
-            for col in vec:
+def _obeys_lie_law(alg, coeffs):
+    """True iff the map, as rows {(i, j): {k: coefficient}}, obeys both
+    slot laws: every slice with one index fixed is a Lie derivation, so it
+    is zero at each column the derivation system forces to vanish and
+    meets every other echelon row in a zero sum.  Coefficient (i, j, k)
+    sits at column i*dim + k of the slice with j fixed and j*dim + k of
+    the slice with i fixed; the column index gives the rows it meets.  The
+    map is scaled to integers, which leaves each sum's vanishing as is."""
+    zero, _ = _derivations(alg, True)
+    index = _derivation_columns(alg)
+    dim = alg.dim
+    den = lcm(*(v.denominator for row in coeffs.values() for v in row.values()))
+    none = ()
+    sums = {}
+    for (i, j), row in coeffs.items():
+        for k, v in row.items():
+            v = v.numerator * (den // v.denominator)
+            # slices with j fixed are numbered j, those with i fixed dim + i
+            for s, col in ((j, i * dim + k), (dim + i, j * dim + k)):
                 if zero[col]:
-                    raise NotLieBider(_law_witness(t, coeffs))
-            for cols, vals in rows:
-                s = 0
-                for col, cv in zip(cols, vals):
-                    v = vec.get(col)
-                    if v:
-                        s += v * cv
-                if s:
-                    raise NotLieBider(_law_witness(t, coeffs))
+                    return False
+                for n, w in index.get(col, none):
+                    sums[s, n] = sums.get((s, n), 0) + v * w
+    return not any(sums.values())
 
 
 def decompose(t, phi):
@@ -212,14 +224,14 @@ def decompose(t, phi):
     """
     if phi.algebra is not t.alg:
         raise ValueError("map does not live on this algebra")
-    coeffs = phi._rows()
-    _require_lie_bider(t, coeffs)
-
     alg = t.alg
-    dim = alg.dim
+    coeffs = phi._rows()
+    if not _obeys_lie_law(alg, coeffs):
+        raise NotLieBider(_law_witness(t, coeffs))
+
     empty = {}
     r = phi(t.e, t.e)
-    ext = _extremal(alg, r)
+    ext = _extremal(_brackets(alg), r.coords)
     # phi minus its extremal part: what lambda0*[., .] + mu must account for
     rest = {}
     for key in coeffs.keys() | ext.keys():
@@ -234,21 +246,21 @@ def decompose(t, phi):
     if lambda0 is None:
         raise NoCentralLambda("no central element matches the off-diagonal residual")
 
-    lam = [(a, -c) for a, c in enumerate(lambda0.coords) if c]
+    neg_lam_b = _times_basis(alg, [-c for c in lambda0.coords])
     br = _brackets(alg)
     mu_items = []
-    for i in range(dim):
-        for j in range(dim):
-            key = (i, j)
-            val = _combine([(1, rest.get(key, empty))]
-                           + [(c * v, alg._mul_basis(a, p))
-                              for a, c in lam for p, v in br.get(key, empty).items()])
-            if not val:
-                continue
-            el = _element(alg, val)
-            if not t.is_central(el):
-                raise ResidualNotCentral((i, j, el))
-            mu_items.extend((i, j, k, v) for k, v in val.items())
+    # a pair outside both tables has a zero residual; sorted, so the first
+    # non-central value is the first in (i, j) order
+    for key in sorted(rest.keys() | br.keys()):
+        val = _combine([(1, rest.get(key, empty))]
+                       + [(v, neg_lam_b[p]) for p, v in br.get(key, empty).items()])
+        if not val:
+            continue
+        i, j = key
+        el = _element(alg, val)
+        if not t.is_central(el):
+            raise ResidualNotCentral((i, j, el))
+        mu_items.extend((i, j, k, v) for k, v in val.items())
     mu = BilinearMap(alg, mu_items)
 
     d = Decomposition(lambda0, r, mu)
@@ -272,26 +284,33 @@ def verify_decomposition(t, phi, d):
     for row in mu.values():
         if not t.is_central(_element(alg, row)):
             return False
-    empty = {}
-
-    def bracket_basis(i, terms):
-        # [b_i, x] for x = sum of c*b_k over (k, c) in terms
-        return _combine([(c, alg._mul_basis(i, k)) for k, c in terms]
-                        + [(-c, alg._mul_basis(k, i)) for k, c in terms])
-
+    # the brackets [b_i, b_j] from the product table, in a pass of its own:
+    # a fault in the cached table, or in the function that fills it, must
+    # not reach both sides of the check
+    terms = {}
+    for (i, j), row in alg._prod.items():
+        terms.setdefault((i, j), []).append((1, row))
+        terms.setdefault((j, i), []).append((-1, row))
+    br = {}
+    for key, ts in terms.items():
+        row = _combine(ts)
+        if row:
+            br[key] = row
+    # the terms of the rebuilt value at each pair that one of them reaches;
+    # phi's own pairs are compared too, so both sides vanish at every pair
+    # left out
+    rebuilt = {}
+    if any(d.lambda0.coords):
+        lam_b = _times_basis(alg, d.lambda0.coords)
+        for key, row in br.items():
+            rebuilt[key] = [(v, lam_b[p]) for p, v in row.items()]
+    for part in (_extremal(br, d.r.coords), mu):
+        for key, row in part.items():
+            rebuilt.setdefault(key, []).append((1, row))
     rows = phi._rows()
-    lam = [(a, c) for a, c in enumerate(d.lambda0.coords) if c]
-    r_terms = [(k, c) for k, c in enumerate(d.r.coords) if c]
-    inner = [bracket_basis(j, r_terms) for j in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            bij = bracket_basis(i, [(j, 1)])
-            rebuilt = _combine(
-                [(c * v, alg._mul_basis(a, p)) for a, c in lam for p, v in bij.items()]
-                + [(1, bracket_basis(i, inner[j].items())), (1, mu.get((i, j), empty))])
-            if rebuilt != rows.get((i, j), empty):
-                return False
-    return True
+    empty = {}
+    return all(_combine(rebuilt.get(key, ())) == rows.get(key, empty)
+               for key in rebuilt.keys() | rows.keys())
 
 
 class LemmaReport:

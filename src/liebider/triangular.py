@@ -156,17 +156,21 @@ class TriangularAlgebra:
         self._cache = {}
 
     def _check_faithful(self):
-        # a ∈ A with a·M = 0 forces a = 0, and M·b = 0 forces b = 0
+        # a ∈ A with a·M = 0 forces a = 0, and M·b = 0 forces b = 0: each
+        # actor's action on the eTf basis, as one integer row over the
+        # (u, o) coordinates, so the split is faithful iff the rows are
+        # independent, the rank the number of actors
+        mul = self.alg._mul_basis
         dm = len(self.m_indices)
+        pos = {g: u for u, g in enumerate(self.m_indices)}
         for side, actors, error in (
                 ("left", self.a_indices, "bimodule not faithful: some a in A kills eTf"),
                 ("right", self.b_indices, "bimodule not faithful: some b in B kills eTf")):
-            entries = []
-            for j, gj in enumerate(actors):
-                p = _action_matrix(self, gj, side)
-                entries.extend((u * dm + o, j, p[o][u])
-                               for u in range(dm) for o in range(dm) if p[o][u])
-            if nullspace(SparseMatrix(dm * dm, len(actors), entries)):
+            red = RowReducer(dm * dm)
+            for g in actors:
+                red.add_fraction_row({u * dm + pos[k]: v for u, gu in enumerate(self.m_indices)
+                                      for k, v in (mul(g, gu) if side == "left" else mul(gu, g)).items()})
+            if len(red.pivrows) != len(actors):
                 raise BadSplit(error)
 
     # -- Peirce structure ------------------------------------------------

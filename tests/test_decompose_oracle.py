@@ -4,7 +4,10 @@ dense_oracle.decompose evaluates every bracket and product through Element
 arithmetic; liebider.decompose works on the cached sparse tables.  Both
 must return the same parts, or fail with the same exception and witness,
 on every basis map, on seeded integer combinations and on maps with one
-coefficient changed.
+coefficient changed.  verify_decomposition must give the reference's
+verdict on corrupted splits, and the law test must reject a unit change
+at a coordinate exactly when it leaves the solved space, naming the
+reference's witness.
 """
 
 import random
@@ -12,10 +15,11 @@ import random
 import pytest
 
 import dense_oracle
-from liebider import (BilinearMap, MapLaw, NoCentralLambda, NotLieBider,
-                      Poset, ResidualNotCentral, block_upper_triangular,
-                      decompose, incidence_algebra, solve_space,
-                      upper_triangular)
+from liebider import (BilinearMap, Decomposition, MapLaw, NoCentralLambda,
+                      NotLieBider, Poset, ResidualNotCentral, SpanChecker,
+                      block_upper_triangular, decompose, incidence_algebra,
+                      make_extremal, solve_space, upper_triangular,
+                      verify_decomposition)
 
 ALGEBRAS = {
     "t3": lambda: upper_triangular(3, 2),
@@ -68,3 +72,75 @@ def test_tables_agree_with_dense_reference(name):
     assert "NotLieBider" in seen
     if name == "v":
         assert "NoCentralLambda" in seen
+
+
+def corruptions(t, phi, d, rnd):
+    """(kind, phi, split) triples, each breaking one part of the valid
+    split d of phi."""
+    alg = t.alg
+    dim = alg.dim
+    b = alg.basis_element(rnd.randrange(dim))
+    m = alg.basis_element(rnd.choice(t.m_indices))
+    mu = {(i, j, k): v for i, j, k, v in d.mu.items()}
+    key = rnd.choice(sorted(mu)) if mu else (rnd.randrange(dim), rnd.randrange(dim), rnd.randrange(dim))
+    mu[key] = mu.get(key, 0) + rnd.choice([-1, 1])
+    coeffs = {(i, j, k): v for i, j, k, v in phi.items()}
+    key = (rnd.randrange(dim), rnd.randrange(dim), rnd.randrange(dim))
+    coeffs[key] = coeffs.get(key, 0) + rnd.choice([-1, 1])
+    return [
+        ("r shifted", phi, Decomposition(d.lambda0, d.r + b, d.mu)),
+        ("lambda0 shifted", phi, Decomposition(d.lambda0 + rnd.choice(t.center), d.r, d.mu)),
+        ("mu changed", phi, Decomposition(d.lambda0, d.r, BilinearMap(alg, mu))),
+        ("phi changed", BilinearMap(alg, coeffs), d),
+        # the extremal part of m moved from r into mu: phi is rebuilt
+        # exactly, but mu takes values in eTf
+        ("mu not central", phi, Decomposition(d.lambda0, d.r + m, d.mu - make_extremal(t, m))),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_verify_agrees_with_dense_reference(name):
+    t = ALGEBRAS[name]()
+    rnd = random.Random(f"verify-oracle-{name}")
+    checked = 0
+    for kind, idx, phi in inputs(t, rnd):
+        if outcome(decompose, t, phi)[0] != "ok":
+            continue
+        d = decompose(t, phi)
+        assert dense_oracle.verify_decomposition(t, phi, d), (kind, idx)
+        for what, psi, bad in corruptions(t, phi, d, rnd):
+            got = verify_decomposition(t, psi, bad)
+            assert got == dense_oracle.verify_decomposition(t, psi, bad), (kind, idx, what)
+            assert not got, (kind, idx, what)
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_law_test_matches_space_membership_at_every_coordinate(name):
+    # a unit change at one coordinate leaves the space exactly when the
+    # solved basis stops spanning the map, whether the derivation system
+    # forces that coordinate to vanish on its own or ties it to others.
+    # The dense scan takes up to 0.1 s a map, so the witness is compared
+    # with it at about 32 coordinates spread evenly over the tensor.
+    t = ALGEBRAS[name]()
+    space = solve_space(t.alg, MapLaw.LIE_BIDER)
+    dim = t.alg.dim
+    span = SpanChecker([m.flat() for m in space], dim ** 3)
+    step = max(1, dim ** 3 // 32)
+    compared = 0
+    for f in range(dim ** 3):
+        ij, k = divmod(f, dim)
+        phi = space[0] + BilinearMap(t.alg, {(*divmod(ij, dim), k): 1})
+        try:
+            decompose(t, phi)
+            witness = None
+        except NotLieBider as exc:
+            witness = exc.witness
+        except (NoCentralLambda, ResidualNotCentral):
+            witness = None
+        assert (witness is not None) == (not span.contains(phi.flat())), f
+        if witness is not None and f % step == 0:
+            assert witness == dense_oracle.law_witness(phi), f
+            compared += 1
+    assert compared
