@@ -13,9 +13,13 @@ decomposition and the checks share.  The product table {(i, j): {k: c}} is
 the algebra's own _prod.  Each algebra keeps one lazily filled cache, _cache,
 for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
 integer echelon form of the single-argument derivation system of each law
-kind (_derivations, built once per kind, from an integer copy of the table
-and, for the bracket, from the pairs a < c only), the Lie kind's echelon
-rows indexed by column (_derivation_columns) and the center's coordinates.
+kind (_derivations, built once per kind, from an integer copy of the table),
+the Lie kind's echelon rows indexed by column (_derivation_columns) and the
+center's coordinates.  The derivation identity is fed only at the pairs
+that meet a generating set G, read off the table's one-term products
+(_generators): the x at which a map obeys the identity against every y
+form a subalgebra (by associativity, or by the Jacobi identity for the
+bracket), so the rows at G span all the others.
 Cached values are ints, Fractions, bytes, dicts and tuples only, never
 Elements or the algebra itself, so an algebra stays free of reference
 cycles.  They are shared, not copied: callers read them and never change
@@ -300,16 +304,50 @@ def _identity_rows(tab, dim, a, c):
     return out
 
 
+def _generators(tab, dim):
+    """Indices G whose basis elements generate the algebra under the
+    table's operation o, read off its one-term products.
+
+    An index a is covered once some b_i o b_j = c·b_a, with i, j != a and
+    c != 0 the only term, has both i and j covered.  The indices no such
+    product reaches start in G; when the covering stalls (on a cycle of
+    such products), the smallest uncovered index joins G.  Every covered
+    b_a is then a product of generators.  Returns G ascending.
+    """
+    makers = {}  # a -> [(i, j)] over the one-term products c·b_a = b_i o b_j
+    for (i, j), row in tab.items():
+        if len(row) == 1:
+            (a,) = row
+            if a != i and a != j:
+                makers.setdefault(a, []).append((i, j))
+    gens = [a for a in range(dim) if a not in makers]
+    covered = set(gens)
+    while len(covered) < dim:
+        new = [a for a, pairs in makers.items() if a not in covered
+               and any(i in covered and j in covered for i, j in pairs)]
+        if not new:
+            new = [min(set(range(dim)) - covered)]
+            gens.extend(new)
+        covered.update(new)
+    return sorted(gens)
+
+
 def _derivation_system(alg, lie):
     """Echelon form of the single-argument derivation law, in integers.
 
-    The identity rows at the basis pairs (a, c), o the bracket or the
-    product, reduced: every pair for the product, the pairs a < c for the
-    bracket (the others add nothing new).  The rows are built from an
-    integer copy of the table, the table times the lcm of its
-    denominators: each identity term carries exactly one table factor, so
-    every row scales by that one factor and its span is unchanged.  The
-    integer rows go to the RowReducer as they are.
+    The identity rows at the basis pairs (a, c) with a in the _generators G
+    of the table, o the bracket or the product, reduced; for the bracket,
+    the pairs a < c with a or c in G (the (c, a) rows are the (a, c) rows
+    negated, and the (a, a) rows vanish).  These span every identity row:
+    for a linear d, the x with d(x o y) = d(x) o y + x o d(y) for every y
+    form a subspace closed under o, by associativity for the product and
+    by the Jacobi identity for the bracket.  It holds G, so it is the
+    whole algebra, and a d that meets the G rows is a derivation.  The
+    unique reduced echelon form is therefore that of all dim² pairs.  The
+    rows are built from an integer copy of the table, the table times the
+    lcm of its denominators: each identity term carries exactly one table
+    factor, so every row scales by that one factor and its span is
+    unchanged.  The integer rows go to the RowReducer as they are.
 
     Returns (zero, rows).  An echelon row with one entry only says that
     its column vanishes: zero[col] is 1 for those columns and 0 elsewhere.
@@ -320,13 +358,13 @@ def _derivation_system(alg, lie):
     """
     dim = alg.dim
     tab = _integer_table(_table(alg, lie))
+    gens = set(_generators(tab, dim))
     red = RowReducer(dim * dim)
     for a in range(dim):
-        # the bracket is antisymmetric: the (c, a) rows are the (a, c) rows
-        # negated, and the (a, a) rows vanish
         for c in range(a + 1 if lie else 0, dim):
-            for _, row in _identity_rows(tab, dim, a, c):
-                red.add_row(row)
+            if a in gens or lie and c in gens:
+                for _, row in _identity_rows(tab, dim, a, c):
+                    red.add_row(row)
     rows = [tuple(zip(*sorted(row.items()))) for row in red.pivrows]
     zero = {cols[0] for cols, _ in rows if len(cols) == 1}
     return (bytes(c in zero for c in range(dim * dim)),

@@ -242,7 +242,11 @@ def solve_space(alg, law):
     (from the algebra's cached derivation system).  A one-sided law leaves
     x free: its kernel is every unit vector (l, s).  A two-sided law cuts x
     out by a system over the dim·nd slice coordinates, far smaller than the
-    naive dim³ system.
+    naive dim³ system: one row per fixed index l and echelon row of the
+    derivation system, which is zero unless the echelon row has an entry at
+    some (a, k) with D_s(b_l) nonzero at k for some s.  The echelon rows are
+    indexed by that output coordinate k, so only the rows that meet l are
+    built.
 
     No dim³ reduction follows: x is nonzero at its last free column (l, s)
     and 0 at the other free ones, D_s is m_s at its last nonzero column f_s
@@ -271,6 +275,10 @@ def solve_space(alg, law):
                 a, k = divmod(flat, dim)
                 parts.setdefault(a, []).append((k, v))
             grouped.append(list(parts.items()))
+        meets = {}  # k -> numbers of the echelon rows with an entry at some (a, k)
+        for n, parts in enumerate(grouped):
+            for k in {k for _, part in parts for k, _ in part}:
+                meets.setdefault(k, []).append(n)
         at = [{} for _ in range(dim)]  # at[l][k] = [(s, D_s[l][k])]
         for s, d in enumerate(derivs):
             for flat, w in d.items():
@@ -278,9 +286,11 @@ def solve_space(alg, law):
                 at[l].setdefault(k, []).append((s, w))
         red = RowReducer(dim * nd)
         for by_k in at:
-            for parts in grouped:
+            # a row that meets none of the k where some D_s[l] is nonzero
+            # gives the zero row
+            for n in sorted(set().union(*(meets.get(k, ()) for k in by_k))):
                 out = {}
-                for a, part in parts:
+                for a, part in grouped[n]:
                     acc = {}
                     for k, v in part:
                         for s, w in by_k.get(k, ()):

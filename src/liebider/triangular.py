@@ -14,9 +14,10 @@ of diagonal units, and built by one matrix-unit builder.
 from fractions import Fraction
 import random
 
-from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine,
+from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine, _integer_table,
                       center_basis, is_commutative, multiply)
-from .linalg import Inconsistent, RowReducer, SpanChecker, SparseMatrix, nullspace, solve
+from .linalg import (Inconsistent, RowReducer, SpanChecker, SparseMatrix, nullspace,
+                     nullspace_from_reducer, solve)
 
 
 class ConstructionError(ValueError):
@@ -309,23 +310,22 @@ def tau_inv(t, b):
     return _central_part_map(t, b, "b")
 
 
-def _action_matrix(t, gj, side):
-    """Matrix of m → b_gj·m (side 'left') or m → m·b_gj ('right') on eTf coords."""
-    dm = len(t.m_indices)
-    pos = {g: u for u, g in enumerate(t.m_indices)}
-    mat = [[0] * dm for _ in range(dm)]
-    for u, gu in enumerate(t.m_indices):
-        prod = t.alg._mul_basis(gj, gu) if side == "left" else t.alg._mul_basis(gu, gj)
-        for k, v in prod.items():
-            mat[pos[k]][u] = v
-    return mat
+def _action(t, tab, g, left):
+    """m_v → b_g·m_v (left) or m_v·b_g, read from the product table tab
+    (the algebra's own or an integer copy): one {u: p} per v, the image's
+    coordinates over the eTf basis m_u."""
+    pos = {gu: u for u, gu in enumerate(t.m_indices)}
+    return [{pos[k]: p for k, p in tab.get((g, gv) if left else (gv, g), {}).items()}
+            for gv in t.m_indices]
 
 
 def bimodule_hom_basis(t):
     """Canonical basis of the (A,B)-bimodule endomorphisms of eTf.
 
     A hom is a dm×dm matrix H over the eTf basis, h(m_j) = Σ_i H[i][j] m_i,
-    commuting with the left A-action and the right B-action.  Returned as
+    commuting with the left A-action and the right B-action.  The system
+    is built from the sparse integer product table, one row per actor, j
+    and output coordinate, and reduced as it is.  Returned as
     tuples of row tuples, one per basis hom, in the canonical nullspace
     order of the flattened (i, j) unknowns.
     """
@@ -333,61 +333,65 @@ def bimodule_hom_basis(t):
 
 
 def _bimodule_homs(t):
-    dm = len(t.m_indices)
-    entries = []
-    nrow = 0
     # h(a·m_j) = a·h(m_j) and h(m_j·b) = h(m_j)·b, one row per (actor, j, o)
-    for side, actors in (("left", t.a_indices), ("right", t.b_indices)):
-        for gj in actors:
-            p = _action_matrix(t, gj, side)
+    # over the unknowns H[i][j] at i·dm + j, on the integer product table:
+    # every term carries one table factor, so the kernel is unchanged
+    dm = len(t.m_indices)
+    tab = _integer_table(t.alg._prod)
+    red = RowReducer(dm * dm)
+    for left, actors in ((True, t.a_indices), (False, t.b_indices)):
+        for g in actors:
+            image = _action(t, tab, g, left)
+            into = [[] for _ in range(dm)]  # into[o] = [(u, p)]: the image of m_u is p at m_o
+            for u, im in enumerate(image):
+                for o, p in im.items():
+                    into[o].append((u, p))
             for j in range(dm):
                 for o in range(dm):
-                    row = {}
-                    for u in range(dm):
-                        if p[u][j]:
-                            row[o * dm + u] = row.get(o * dm + u, 0) + p[u][j]
-                        if p[o][u]:
-                            row[u * dm + j] = row.get(u * dm + j, 0) - p[o][u]
-                    for col, v in row.items():
-                        if v:
-                            entries.append((nrow, col, v))
-                    nrow += 1
-    mat = SparseMatrix(nrow, dm * dm, entries)
+                    row = {o * dm + u: p for u, p in image[j].items()}
+                    for u, p in into[o]:
+                        row[u * dm + j] = row.get(u * dm + j, 0) - p
+                    row = {col: v for col, v in row.items() if v}
+                    if row:
+                        red.add_row(row)
     return tuple(tuple(tuple(vec[i * dm + j] for j in range(dm)) for i in range(dm))
-                 for vec in nullspace(mat))
+                 for vec in nullspace_from_reducer(red, dm * dm))
 
 
 def _standard_form_generators(t):
-    """Flattened matrices of m → a₀m and m → mb₀ over corner-center bases."""
-    gens = []
+    """m → a₀m and m → mb₀ over the corner-center bases, each as the
+    {u·dm + v: c} entries of its matrix (m_v goes to Σ_u c·m_u), from the
+    product table."""
     dm = len(t.m_indices)
-    for side, action in (("a", "left"), ("b", "right")):
+    gens = []
+    for side in ("a", "b"):
         corner, glob = t.corner(side)
         for z in center_basis(corner):
-            mat = [[Fraction(0)] * dm for _ in range(dm)]
+            gen = {}
             for j, c in enumerate(z.coords):
                 if c:
-                    p = _action_matrix(t, glob[j], action)
-                    for u in range(dm):
-                        for v in range(dm):
-                            mat[u][v] += c * p[u][v]
-            gens.append(tuple(x for row in mat for x in row))
+                    for v, im in enumerate(_action(t, t.alg._prod, glob[j], side == "a")):
+                        for u, p in im.items():
+                            gen[u * dm + v] = gen.get(u * dm + v, 0) + c * p
+            gens.append(gen)
     return gens
 
 
 def standard_form_check(t):
     """True iff every bimodule hom has the form m → a₀m + mb₀ with central a₀, b₀.
 
-    Mutual span containment of the hom basis and the standard-form
-    generators, checked by ranks.
+    The two spans are equal iff they have one rank and the hom span holds
+    every generator.
     """
     dm = len(t.m_indices)
-    homs = [tuple(x for row in h for x in row) for h in bimodule_hom_basis(t)]
+    homs = [dict(enumerate(x for row in h for x in row)) for h in bimodule_hom_basis(t)]
     gens = _standard_form_generators(t)
-    hom_span = SpanChecker(homs, dm * dm)
-    gen_span = SpanChecker(gens, dm * dm)
-    return (all(hom_span.contains(g) for g in gens)
-            and all(gen_span.contains(h) for h in homs))
+    hom_span, gen_span = RowReducer(dm * dm), RowReducer(dm * dm)
+    for red, rows in ((hom_span, homs), (gen_span, gens)):
+        for row in rows:
+            red.add_fraction_row(row)
+    return (hom_span.rank == gen_span.rank
+            and not any(hom_span.reduce_only(RowReducer.integer_row(g)) for g in gens))
 
 
 def hypothesis_report(t):

@@ -12,6 +12,9 @@ validate(), peirce_split() and center() are the references for algebra
 construction: the unit and associativity checks on every basis triple from
 a table built here out of the raw structure constants, and the Peirce split,
 faithfulness and center from Element arithmetic.
+bimodule_homs(), standard_form_generators() and standard_form_check() are
+the references for hypothesis cond_iii: dense action matrices from Element
+arithmetic, their kernel and the corner centers by dense elimination.
 Slow on purpose; meant for cross-checking on small algebras.
 """
 
@@ -128,6 +131,89 @@ def center(alg):
         cols = [lie_bracket(bj, bi).coords for bj in basis]
         rows.extend([col[k] for col in cols] for k in range(alg.dim))
     return dense_kernel(int_rows(rows), alg.dim)
+
+
+# -- bimodule homs (hypothesis cond_iii) ---------------------------------------
+
+def action_matrix(t, g, side):
+    """Matrix of m -> b_g·m (side 'left') or m -> m·b_g ('right') on the
+    eTf coordinates, from Element arithmetic: column u is the image of m_u."""
+    alg = t.alg
+    basis = alg.basis()
+    mat = [[Fraction(0)] * len(t.m_indices) for _ in t.m_indices]
+    for u, gu in enumerate(t.m_indices):
+        image = (multiply(basis[g], basis[gu]) if side == "left"
+                 else multiply(basis[gu], basis[g]))
+        for o, go in enumerate(t.m_indices):
+            mat[o][u] = image.coords[go]
+    return mat
+
+
+def bimodule_homs(t):
+    """Reference for bimodule_hom_basis: the canonical kernel of the dense
+    system h(a·m_j) = a·h(m_j), h(m_j·b) = h(m_j)·b over the unknowns
+    H[i][j] at i*dm + j, one row per (actor, j, o), as tuples of row
+    tuples."""
+    dm = len(t.m_indices)
+    rows = []
+    for side, actors in (("left", t.a_indices), ("right", t.b_indices)):
+        for g in actors:
+            p = action_matrix(t, g, side)
+            for j in range(dm):
+                for o in range(dm):
+                    row = [Fraction(0)] * (dm * dm)
+                    for u in range(dm):
+                        row[o * dm + u] += p[u][j]
+                        row[u * dm + j] -= p[o][u]
+                    rows.append(row)
+    return tuple(tuple(tuple(vec[i * dm + j] for j in range(dm)) for i in range(dm))
+                 for vec in dense_kernel(int_rows(rows), dm * dm))
+
+
+def corner_center(t, side):
+    """Canonical basis of the center of the corner eTe (side 'a') or fTf
+    ('b'), over the corner's own coordinates, from Element arithmetic."""
+    glob = t.a_indices if side == "a" else t.b_indices
+    basis = t.alg.basis()
+    rows = []
+    for h in glob:
+        cols = [lie_bracket(basis[g], basis[h]).coords for g in glob]
+        rows.extend([col[k] for col in cols] for k in glob)
+    return dense_kernel(int_rows(rows), len(glob))
+
+
+def standard_form_generators(t):
+    """The flattened dm×dm matrices of m -> a0·m and m -> m·b0, a0 and b0
+    over the corner-center bases, A's first."""
+    dm = len(t.m_indices)
+    gens = []
+    for side, action in (("a", "left"), ("b", "right")):
+        glob = t.a_indices if side == "a" else t.b_indices
+        for z in corner_center(t, side):
+            mat = [[Fraction(0)] * dm for _ in range(dm)]
+            for j, c in enumerate(z):
+                if c:
+                    p = action_matrix(t, glob[j], action)
+                    for u in range(dm):
+                        for v in range(dm):
+                            mat[u][v] += c * p[u][v]
+            gens.append(tuple(x for row in mat for x in row))
+    return gens
+
+
+def spans_equal(vectors, others):
+    """True iff two lists of dense vectors span the same space: both have
+    the rank of the two together."""
+    def rank(vecs):
+        return len(dense_rref(int_rows(vecs)))
+    return rank(vectors) == rank(others) == rank(list(vectors) + list(others))
+
+
+def standard_form_check(t):
+    """Reference for standard_form_check: the hom space equals the span of
+    the standard-form generators."""
+    homs = [tuple(x for row in h for x in row) for h in bimodule_homs(t)]
+    return spans_equal(homs, standard_form_generators(t))
 
 
 def law_rows(alg, law):

@@ -17,7 +17,7 @@ from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
                       constraint_matrix, decompose, hypothesis_report,
                       incidence_algebra, law_residual, lemma31_residual,
                       lie_bracket, make_central, make_extremal, make_inner,
-                      nullspace, solve_space, upper_triangular,
+                      multiply, nullspace, solve_space, upper_triangular,
                       verify_decomposition)
 from liebider import algebra as algebra_module
 from liebider import bider as bider_module
@@ -289,14 +289,54 @@ def test_solver_matches_spanning_route(name):
         assert all(type(v) is Fraction for phi in space for v in phi._flat.values())
 
 
+def t3_mixed(x, y):
+    """T3 on its basis with b_x replaced by b_x + b_y: a product of two
+    basis elements may have two terms, or one on another index."""
+    alg = upper_triangular(3, 2).alg
+    basis = alg.basis()
+    basis[x] = basis[x] + basis[y]
+
+    def coords(v):  # the old b_x is the new b_x - b_y
+        c = list(v.coords)
+        c[y] -= c[x]
+        return c
+
+    items = [(i, j, k, v) for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+             for k, v in enumerate(coords(multiply(bi, bj))) if v]
+    labels = list(alg.basis_labels)
+    labels[x] += "+" + labels[y]
+    return FiniteAlgebra(alg.dim, labels, items, coords(alg.unit_element()))
+
+
+DERIVATION_ALGEBRAS = dict(
+    ECHELON_ALGEBRAS, t4=lambda: upper_triangular(4, 2).alg,
+    # every unit of the 3×3 block is a one-term product of two others, so
+    # the generators can only be found by pinning an index
+    block31=lambda: block_upper_triangular([3, 1], 1).alg,
+    t3_e11_plus_e12=lambda: t3_mixed(0, 1),
+    # E12·E23 = E13 is (E13 + E11) - E11, two terms on this basis
+    t3_e13_plus_e11=lambda: t3_mixed(2, 0))
+
+
 @pytest.mark.parametrize("lie", [False, True], ids=["product", "bracket"])
-@pytest.mark.parametrize("name", sorted(ECHELON_ALGEBRAS))
+@pytest.mark.parametrize("name", sorted(DERIVATION_ALGEBRAS))
 def test_derivation_system_matches_dense_reference(name, lie):
     # the reference reduces every (a, c) pair, both orders and a == c
     # included, from Element arithmetic
-    alg = ECHELON_ALGEBRAS[name]()
+    alg = DERIVATION_ALGEBRAS[name]()
     assert (algebra_module._derivation_system(alg, lie)
             == dense_oracle.derivation_echelon(alg, lie))
+
+
+@pytest.mark.parametrize("lie", [False, True], ids=["product", "bracket"])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_generators_of_tn_are_diagonal_and_superdiagonal(n, lie):
+    # E_pq with q > p + 1 is E_p,p+1·E_p+1,q (and their bracket); no
+    # product or bracket of two other units is E_pp or E_p,p+1
+    alg = upper_triangular(n, 1).alg
+    positions = [(p, q) for p in range(n) for q in range(p, n)]
+    assert (algebra_module._generators(algebra_module._table(alg, lie), alg.dim)
+            == [i for i, (p, q) in enumerate(positions) if q - p <= 1])
 
 
 def test_block_assoc_dimension(block21):
