@@ -14,12 +14,14 @@ the algebra's own _prod.  Each algebra keeps one lazily filled cache, _cache,
 for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
 integer echelon form of the single-argument derivation system of each law
 kind (_derivations, built once per kind, from an integer copy of the table),
-the Lie kind's echelon rows indexed by column (_derivation_columns) and the
-center's coordinates.  The derivation identity is fed only at the pairs
-that meet a generating set G, read off the table's one-term products
-(_generators): the x at which a map obeys the identity against every y
-form a subalgebra (by associativity, or by the Jacobi identity for the
-bracket), so the rows at G span all the others.
+the Lie kind's echelon rows indexed by column (_derivation_columns), the
+center's coordinates and, for decomp.py, the bracket table by right factor
+and verify_decomposition's own index of the products.  The derivation
+identity is fed only at the pairs that meet a generating set G, read off
+the table's one-term products (_generators): the x at which a map obeys
+the identity against every y form a subalgebra (by associativity, or by
+the Jacobi identity for the bracket), so the rows at G span all the
+others.
 Cached values are ints, Fractions, bytes, dicts and tuples only, never
 Elements or the algebra itself, so an algebra stays free of reference
 cycles.  They are shared, not copied: callers read them and never change
@@ -28,11 +30,11 @@ tables, for the checks that recompute from the structure constants.
 
 A TriangularAlgebra keeps one such _cache too, filled through _cached, for
 what depends on its splitting: its two corner algebras, the bimodule hom
-basis and the central-coefficient systems of tau and lambda0.  Its entries
-may hold Elements of the underlying algebra, which never refers back to
-the TriangularAlgebra.  A corner is a FiniteAlgebra of its own, built once
-per side, so its tables and center sit in its own _cache and last as long
-as the triangular algebra does.
+basis and the factored central-coefficient systems of tau, lambda0 and
+alpha0.  Its entries may hold Elements of the underlying algebra, which
+never refers back to the TriangularAlgebra.  A corner is a FiniteAlgebra
+of its own, built once per side, so its tables and center sit in its own
+_cache and last as long as the triangular algebra does.
 """
 
 from fractions import Fraction

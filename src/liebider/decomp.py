@@ -16,29 +16,39 @@ satisfy, solving for the scalar alpha0 once and testing every basis pair.
 
 decompose(), verify_decomposition() and the law witness work on sparse
 {coordinate: Fraction} rows, never on dense Elements, and visit only the
-terms that can be nonzero.  The law test and the extraction read the
+terms that can be nonzero: each map pays for its own terms, on tables
+built once per algebra.  The law test and the extraction read the
 algebra's structure tables (see algebra.py): the bracket table
-[b_i, b_j] and the integer echelon form of the Lie derivation system, the
-same cached form solve_space uses, so solving and decomposing on one
-algebra build it once.  The law test reads the echelon rows through their
-column index (algebra._derivation_columns): one pass over the map's
-nonzero coefficients sums every slice's products with the rows that meet
-it.  It returns a verdict, and decompose() raises NotLieBider itself, with
-the first failing basis triple as witness.  lambda0, like alpha0 in
-lemma_suite() and tau in triangular.py, is a central-coefficient solve
-(triangular._central_system and _central_solution).  The lambda0
-system's coefficients depend on the triangular structure only; it is
-built on the first decompose() and cached in the triangular algebra's
-_cache (see _lambda_system).  Each map then only supplies its right-hand
-side, so decomposing a whole space in a loop pays for the tables once.
+[b_i, b_j], here also indexed by right factor, and the integer echelon
+form of the Lie derivation system, the same cached form solve_space uses,
+so solving and decomposing on one algebra build it once.  The law test
+reads the echelon rows through their column index
+(algebra._derivation_columns): one pass over the map's nonzero
+coefficients sums every slice's products with the rows that meet it.  It
+returns the slices that fail, and decompose() raises NotLieBider with the
+first failing basis triple as witness, scanning the failing slices only.
+r = phi(e, e) is read from phi's rows at the pairs where e is nonzero.
+lambda0, like alpha0 in lemma_suite() and tau in triangular.py, is a
+central-coefficient solve (triangular._central_system and
+_central_solution).  Each such system depends on the triangular structure
+only; it is factored once, on first use, into its pivot columns and the
+inverse of an invertible square of them, and cached in the triangular
+algebra's _cache (see _lambda_system and _alpha0_system).  Each map then
+only supplies its right-hand side: one product with the inverse, and a
+check of the equation at the keys the target and the used columns reach.
 [b_i, [b_j, r]] and lambda0*[b_i, b_j] are read off the bracket table,
 linear in the support of r and lambda0, and mu is formed at the pairs
-where the residual or the bracket is nonzero.
-verify_decomposition() rebuilds the brackets from the product table in a
-pass of its own, so it shares no cached data with what it checks.  It
-adds up lambda0*[b_i, b_j], [b_i, [b_j, r]] and mu at the pairs these
-terms reach and compares with phi there and at phi's own pairs; at every
-other pair both sides vanish, so the check covers every basis pair.
+where the residual or, for a nonzero lambda0, the bracket is nonzero.
+mu values, and lambda0 in verify_decomposition(), are tested for
+centrality on their sparse rows; an Element is built only for a
+ResidualNotCentral witness.
+verify_decomposition() reads the brackets as signed rows of the product
+table itself, indexed once per algebra by a function of its own
+(_verify_brackets) under a cache key of its own, so it shares no cached
+data with what it checks.  It adds up lambda0*[b_i, b_j], [b_i, [b_j, r]] and mu at the
+pairs these terms reach and compares with phi there and at phi's own
+pairs; at every other pair both sides vanish, so the check covers every
+basis pair.
 
 Where the literature shows sign discrepancies between a statement and its
 proof, the suite tests both candidate signs and records which one holds,
@@ -100,7 +110,8 @@ class Decomposition:
 
 
 def _element(alg, row):
-    return Element(alg, [row.get(k, 0) for k in range(alg.dim)])
+    zero = Fraction(0)  # one object for every zero coordinate
+    return Element(alg, [row.get(k, zero) for k in range(alg.dim)])
 
 
 def _lambda_system(t):
@@ -131,23 +142,35 @@ def _times_basis(alg, x):
     return [_combine([(c, alg._mul_basis(a, p)) for a, c in terms]) for p in range(alg.dim)]
 
 
-def _extremal(br, r):
-    """{(i, j): [b_i, [b_j, r]]}, nonzero values only, from the bracket
-    table br and r's coordinates: [b_j, r] from the rows (j, k) with r_k
-    nonzero, then [b_i, [b_j, r]] from the rows (i, p) with p in its
-    support."""
-    by_right = {}  # p -> [(i, [b_i, b_p])]
-    inner = {}     # j -> [(r_k, [b_j, b_k])]
-    for (i, p), row in br.items():
-        by_right.setdefault(p, []).append((i, row))
-        if r[p]:
-            inner.setdefault(i, []).append((r[p], row))
+def _brackets_by_right(alg):
+    """The bracket table by right factor, in the form _extremal reads:
+    {p: ((i, 1, [b_i, b_p]), ...)}, built once per algebra."""
+    def build(alg):
+        out = {}
+        for (i, p), row in _brackets(alg).items():
+            out.setdefault(p, []).append((i, 1, row))
+        return {p: tuple(terms) for p, terms in out.items()}
+    return _cached(alg, "brackets by right", build)
+
+
+def _extremal(by_right, r):
+    """{(i, j): [b_i, [b_j, r]]}, nonzero values only, from r's coordinates
+    and the brackets by right factor: by_right[p] lists (i, s, row), and
+    [b_i, b_p] is the sum of s*row over the entries for i.  [b_j, r] comes
+    from the entries under each k with r_k nonzero, then [b_i, [b_j, r]]
+    from those under each p in its support.  Costs nothing when r is
+    zero."""
+    inner = {}  # j -> [(r_k * s, row)]
+    for k, c in enumerate(r):
+        if c:
+            for j, s, row in by_right.get(k, ()):
+                inner.setdefault(j, []).append((c if s == 1 else -c, row))
     out = {}
     for j, terms in inner.items():
         outer = {}
         for p, c in _combine(terms).items():
-            for i, row in by_right.get(p, ()):
-                outer.setdefault(i, []).append((c, row))
+            for i, s, row in by_right.get(p, ()):
+                outer.setdefault(i, []).append((c if s == 1 else -c, row))
         for i, terms in outer.items():
             row = _combine(terms)
             if row:
@@ -155,61 +178,95 @@ def _extremal(br, r):
     return out
 
 
-def _law_witness(t, c):
+def _law_witness(t, c, bad):
     """First basis triple where a slot identity breaks, for the error.
 
-    c is the map as rows {(i, j): {k: coefficient}}.  Scans (i, j, l) in
-    order and tests slot 1 before slot 2, as
-    law_residual(phi, MapLaw.LIE_BIDER, (b_i, b_j, b_l)) would."""
+    c is the map as rows {(i, j): {k: coefficient}} and bad its failing
+    slices, as _failing_slices numbers them.  Scans (i, j, l) in order and
+    tests slot 1 before slot 2, as
+    law_residual(phi, MapLaw.LIE_BIDER, (b_i, b_j, b_l)) would, but slot 1
+    only where the slice phi(., b_j) fails and slot 2 only where
+    phi(b_i, .) does: a slice that is a derivation has a zero residual at
+    every pair."""
     alg = t.alg
+    dim = alg.dim
     br = _brackets(alg)
     labels = alg.basis_labels
     empty = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
+    for i in range(dim):
+        slot2 = dim + i in bad
+        for j in range(dim):
+            slot1 = j in bad
+            if not (slot1 or slot2):
+                continue
             pij = c.get((i, j), empty)
-            for l in range(alg.dim):
+            for l in range(dim):
                 # phi([b_i, b_l], b_j) - [phi(b_i, b_j), b_l] - [b_i, phi(b_l, b_j)]
-                r1 = _combine(
-                    [(v, c.get((p, j), empty)) for p, v in br.get((i, l), empty).items()]
-                    + [(-v, br.get((k, l), empty)) for k, v in pij.items()]
-                    + [(-v, br.get((i, k), empty)) for k, v in c.get((l, j), empty).items()])
-                if r1:
-                    return (1, (labels[i], labels[j], labels[l]), _element(alg, r1))
+                if slot1:
+                    r1 = _combine(
+                        [(v, c.get((p, j), empty)) for p, v in br.get((i, l), empty).items()]
+                        + [(-v, br.get((k, l), empty)) for k, v in pij.items()]
+                        + [(-v, br.get((i, k), empty)) for k, v in c.get((l, j), empty).items()])
+                    if r1:
+                        return (1, (labels[i], labels[j], labels[l]), _element(alg, r1))
                 # phi(b_i, [b_j, b_l]) - [phi(b_i, b_j), b_l] - [b_j, phi(b_i, b_l)]
-                r2 = _combine(
-                    [(v, c.get((i, p), empty)) for p, v in br.get((j, l), empty).items()]
-                    + [(-v, br.get((k, l), empty)) for k, v in pij.items()]
-                    + [(-v, br.get((j, k), empty)) for k, v in c.get((i, l), empty).items()])
-                if r2:
-                    return (2, (labels[i], labels[j], labels[l]), _element(alg, r2))
+                if slot2:
+                    r2 = _combine(
+                        [(v, c.get((i, p), empty)) for p, v in br.get((j, l), empty).items()]
+                        + [(-v, br.get((k, l), empty)) for k, v in pij.items()]
+                        + [(-v, br.get((j, k), empty)) for k, v in c.get((i, l), empty).items()])
+                    if r2:
+                        return (2, (labels[i], labels[j], labels[l]), _element(alg, r2))
     return None
 
 
-def _obeys_lie_law(alg, coeffs):
-    """True iff the map, as rows {(i, j): {k: coefficient}}, obeys both
-    slot laws: every slice with one index fixed is a Lie derivation, so it
-    is zero at each column the derivation system forces to vanish and
-    meets every other echelon row in a zero sum.  Coefficient (i, j, k)
-    sits at column i*dim + k of the slice with j fixed and j*dim + k of
-    the slice with i fixed; the column index gives the rows it meets.  The
-    map is scaled to integers, which leaves each sum's vanishing as is."""
+def _failing_slices(alg, coeffs):
+    """The slices of the map, given as rows {(i, j): {k: coefficient}},
+    that are not Lie derivations: j for phi(., b_j), whose law is slot 1,
+    and dim + i for phi(b_i, .), whose law is slot 2.  Empty iff the map
+    obeys both slot laws.
+
+    A slice is a Lie derivation iff it is zero at each column the
+    derivation system forces to vanish and meets every other echelon row
+    in a zero sum.  Coefficient (i, j, k) sits at column i*dim + k of the
+    slice with j fixed and j*dim + k of the slice with i fixed; the column
+    index gives the rows it meets.  The map is scaled to integers, which
+    leaves each sum's vanishing as is."""
     zero, _ = _derivations(alg, True)
     index = _derivation_columns(alg)
     dim = alg.dim
     den = lcm(*(v.denominator for row in coeffs.values() for v in row.values()))
     none = ()
+    bad = set()
     sums = {}
     for (i, j), row in coeffs.items():
         for k, v in row.items():
             v = v.numerator * (den // v.denominator)
-            # slices with j fixed are numbered j, those with i fixed dim + i
             for s, col in ((j, i * dim + k), (dim + i, j * dim + k)):
                 if zero[col]:
-                    return False
+                    bad.add(s)
                 for n, w in index.get(col, none):
                     sums[s, n] = sums.get((s, n), 0) + v * w
-    return not any(sums.values())
+    bad.update(s for (s, _), v in sums.items() if v)
+    return bad
+
+
+def _verify_brackets(alg):
+    """[b_i, b_p] = b_i*b_p - b_p*b_i by right factor p, in the form
+    _extremal reads, for verify_decomposition alone: under p the entries
+    (i, 1, b_i*b_p) and (i, -1, b_p*b_i) for the nonzero products, whose
+    rows are the product table's own.  Built by this function, once per
+    algebra, into a cache entry of its own, so a fault in the bracket
+    table decompose reads, or in the function that fills it, does not
+    reach both sides of the check."""
+    def build(alg):
+        out = {}
+        for (i, j), row in alg._prod.items():
+            if i != j:
+                out.setdefault(j, []).append((i, 1, row))
+                out.setdefault(i, []).append((j, -1, row))
+        return {p: tuple(terms) for p, terms in out.items()}
+    return _cached(alg, "verify brackets", build)
 
 
 def decompose(t, phi):
@@ -226,12 +283,15 @@ def decompose(t, phi):
         raise ValueError("map does not live on this algebra")
     alg = t.alg
     coeffs = phi._rows()
-    if not _obeys_lie_law(alg, coeffs):
-        raise NotLieBider(_law_witness(t, coeffs))
+    bad = _failing_slices(alg, coeffs)
+    if bad:
+        raise NotLieBider(_law_witness(t, coeffs, bad))
 
     empty = {}
-    r = phi(t.e, t.e)
-    ext = _extremal(_brackets(alg), r.coords)
+    # r = phi(e, e), from phi's rows at the pairs where e is nonzero
+    e = [(i, c) for i, c in enumerate(t.e.coords) if c]
+    r = _element(alg, _combine([(a * b, coeffs.get((i, j), empty)) for i, a in e for j, b in e]))
+    ext = _extremal(_brackets_by_right(alg), r.coords)
     # phi minus its extremal part: what lambda0*[., .] + mu must account for
     rest = {}
     for key in coeffs.keys() | ext.keys():
@@ -246,22 +306,31 @@ def decompose(t, phi):
     if lambda0 is None:
         raise NoCentralLambda("no central element matches the off-diagonal residual")
 
-    neg_lam_b = _times_basis(alg, [-c for c in lambda0.coords])
-    br = _brackets(alg)
-    mu_items = []
+    # lambda0*[b_i, b_j] is nonzero only at the bracket table's pairs, and
+    # only if lambda0 is
+    br = {}
+    if any(lambda0.coords):
+        br = _brackets(alg)
+        neg_lam_b = _times_basis(alg, [-c for c in lambda0.coords])
+    central = t._center_span
+    dim = alg.dim
+    flat = {}  # mu's coefficients by flat index (i*dim + j)*dim + k
     # a pair outside both tables has a zero residual; sorted, so the first
     # non-central value is the first in (i, j) order
     for key in sorted(rest.keys() | br.keys()):
-        val = _combine([(1, rest.get(key, empty))]
-                       + [(v, neg_lam_b[p]) for p, v in br.get(key, empty).items()])
-        if not val:
-            continue
+        if key in br:
+            val = _combine([(1, rest.get(key, empty))]
+                           + [(v, neg_lam_b[p]) for p, v in br[key].items()])
+            if not val:
+                continue
+        else:
+            val = rest[key]
         i, j = key
-        el = _element(alg, val)
-        if not t.is_central(el):
-            raise ResidualNotCentral((i, j, el))
-        mu_items.extend((i, j, k, v) for k, v in val.items())
-    mu = BilinearMap(alg, mu_items)
+        if not central.contains(val):
+            raise ResidualNotCentral((i, j, _element(alg, val)))
+        base = (i * dim + j) * dim
+        flat.update((base + k, v) for k, v in val.items())
+    mu = BilinearMap._of(alg, flat)
 
     d = Decomposition(lambda0, r, mu)
     if not verify_decomposition(t, phi, d):
@@ -278,33 +347,22 @@ def verify_decomposition(t, phi, d):
         return False
     if d.lambda0.algebra is not alg or d.r.algebra is not alg:
         return False
-    if not t.is_central(d.lambda0):
-        return False
+    central = t._center_span
+    lam = {k: c for k, c in enumerate(d.lambda0.coords) if c}
     mu = d.mu._rows()
-    for row in mu.values():
-        if not t.is_central(_element(alg, row)):
-            return False
-    # the brackets [b_i, b_j] from the product table, in a pass of its own:
-    # a fault in the cached table, or in the function that fills it, must
-    # not reach both sides of the check
-    terms = {}
-    for (i, j), row in alg._prod.items():
-        terms.setdefault((i, j), []).append((1, row))
-        terms.setdefault((j, i), []).append((-1, row))
-    br = {}
-    for key, ts in terms.items():
-        row = _combine(ts)
-        if row:
-            br[key] = row
+    if not (central.contains(lam) and all(central.contains(row) for row in mu.values())):
+        return False
+    by_right = _verify_brackets(alg)
     # the terms of the rebuilt value at each pair that one of them reaches;
     # phi's own pairs are compared too, so both sides vanish at every pair
     # left out
     rebuilt = {}
-    if any(d.lambda0.coords):
+    if lam:
         lam_b = _times_basis(alg, d.lambda0.coords)
-        for key, row in br.items():
-            rebuilt[key] = [(v, lam_b[p]) for p, v in row.items()]
-    for part in (_extremal(br, d.r.coords), mu):
+        for q, terms in by_right.items():
+            for i, s, row in terms:
+                rebuilt.setdefault((i, q), []).extend((s * v, lam_b[p]) for p, v in row.items())
+    for part in (_extremal(by_right, d.r.coords), mu):
         for key, row in part.items():
             rebuilt.setdefault(key, []).append((1, row))
     rows = phi._rows()
@@ -351,17 +409,27 @@ class LemmaReport:
         return f"LemmaReport(failing: {', '.join(bad)})"
 
 
-def _solve_alpha0(t, phi):
-    """The element alpha0 of the center's A-projection with
-    phi(e, m) = alpha0*m for every m in the off-diagonal block, or None."""
+def _alpha0_system(t):
+    """The alpha0 equations, a central-coefficient system: one column per
+    center basis element z_s, its entries the coordinates (u, o) of
+    pi_A(z_s)*m_u over the eTf basis; and the projections pi_A(z_s)."""
     alg = t.alg
     cen_a = [t.proj_a(z) for z in t.center]
     m_basis = [(u, alg.basis_element(u)) for u in t.m_indices]
     columns = [{(u, o): c for u, m in m_basis for o, c in enumerate(multiply(za, m).coords) if c}
                for za in cen_a]
-    target = {(u, o): c for u, m in m_basis
-              for o, c in enumerate(phi(t.e, m).coords) if c}
-    return _central_solution(t, _central_system(columns), cen_a, target)
+    return _central_system(columns), cen_a
+
+
+def _solve_alpha0(t, phi):
+    """The element alpha0 of the center's A-projection with
+    phi(e, m) = alpha0*m for every m in the off-diagonal block, or None.
+    The system depends on t alone and is built once into t's _cache."""
+    alg = t.alg
+    system, cen_a = _cached(t, "alpha0", _alpha0_system)
+    target = {(u, o): c for u in t.m_indices
+              for o, c in enumerate(phi(t.e, alg.basis_element(u)).coords) if c}
+    return _central_solution(t, system, cen_a, target)
 
 
 def lemma_suite(t, phi):

@@ -311,7 +311,9 @@ class SpanChecker:
         return self.red.rank
 
     def contains(self, vec):
-        row = {c: Fraction(v) for c, v in enumerate(vec) if v}
+        """True iff vec, a coordinate sequence or a sparse {col: value}
+        dict of ints and Fractions, lies in the span."""
+        row = vec if isinstance(vec, dict) else {c: Fraction(v) for c, v in enumerate(vec) if v}
         return not self.red.reduce_only(self.red.integer_row(row))
 
 

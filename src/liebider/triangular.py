@@ -16,8 +16,7 @@ import random
 
 from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine, _integer_table,
                       center_basis, is_commutative, multiply)
-from .linalg import (Inconsistent, RowReducer, SpanChecker, SparseMatrix, nullspace,
-                     nullspace_from_reducer, solve)
+from .linalg import RowReducer, SpanChecker, SparseMatrix, nullspace, nullspace_from_reducer
 
 
 class ConstructionError(ValueError):
@@ -103,9 +102,9 @@ class TriangularAlgebra:
     table, once per basis element, instead of taking dense products.  The
     center, from the integer bracket table, is computed eagerly.  What
     depends on the triangular structure alone (the corner algebras, the
-    bimodule hom basis, the central-coefficient systems of tau and lambda0)
-    is built on first use into _cache through algebra._cached; all queries
-    are pure.
+    bimodule hom basis, the central-coefficient systems of tau, lambda0
+    and alpha0) is built on first use into _cache through algebra._cached;
+    all queries are pure.
     """
 
     __slots__ = ("alg", "e", "f", "a_indices", "m_indices", "b_indices",
@@ -239,38 +238,55 @@ def peirce(t, x):
 
 def _central_system(columns):
     """The system sum_s c_s*columns[s] = target over sparse {key: value}
-    columns: ({key: row}, SparseMatrix), one row per key some column
-    reaches, numbered in sorted key order, one column per c_s."""
-    rows = {key: n for n, key in enumerate(sorted(set().union(*columns)))}
-    entries = [(rows[key], s, v) for s, col in enumerate(columns) for key, v in col.items()]
-    return rows, SparseMatrix(len(rows), len(columns), entries)
+    columns, factored once: (columns, pivots, keys, inverse).
+
+    pivots are the columns independent of the earlier ones, the pivot
+    columns of the system's reduced echelon form.  keys are the first
+    keys, in sorted order, at which the pivot columns' entries form an
+    invertible square matrix, and inverse is that matrix's inverse, one
+    row per pivot column."""
+    keys = sorted(set().union(*columns))
+    index = {key: n for n, key in enumerate(keys)}
+    red = RowReducer(len(keys))
+    pivots = [s for s, col in enumerate(columns)
+              if red.add_fraction_row({index[key]: v for key, v in col.items()}) is not None]
+    # rows [M[key, pivots] | unit row n] at the keys that add rank; their
+    # reduced echelon form is [I | inverse]
+    npiv = len(pivots)
+    square = RowReducer(2 * npiv)
+    chosen = []
+    for key in keys:
+        if len(chosen) == npiv:
+            break
+        row = {n: columns[s][key] for n, s in enumerate(pivots) if key in columns[s]}
+        # independent of the rows chosen so far iff a pivot column survives
+        if min(square.reduce_only(square.integer_row(row)), default=npiv) < npiv:
+            row[npiv + len(chosen)] = 1
+            square.add_fraction_row(row)
+            chosen.append(key)
+    inverse = [[row.get(npiv + m, 0) for m in range(npiv)] for row in square.echelon_rows()]
+    return columns, pivots, chosen, inverse
 
 
 def _central_solution(t, system, gens, target):
     """sum_s c_s*gens[s] for the canonical solution c of a _central_system
-    with right-hand side target ({key: value}), free coefficients zero.
+    with right-hand side target ({key: nonzero value}), free coefficients
+    zero, as linalg.solve gives it; None if there is none.
 
-    None if target is nonzero at a key no column reaches, or the system is
-    inconsistent; an error the caller raises for None then does not chain
-    the solver's exception (and with it its frames and row reducer).
+    The pivot coefficients are the inverse times the target at the
+    system's keys.  They solve the system iff the sum they make equals the
+    target at the target's keys and at those of the columns they use;
+    everywhere else both sides vanish.
     """
-    rows, mat = system
-    rhs = [0] * len(rows)
-    for key, v in target.items():
-        n = rows.get(key)
-        if n is None:
-            if v:
-                return None
-        else:
-            rhs[n] = v
-    try:
-        coeffs = solve(mat, rhs)
-    except Inconsistent:
+    columns, pivots, keys, inverse = system
+    rhs = [target.get(key, 0) for key in keys]
+    coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
+    used = [(c, s) for c, s in zip(coeffs, pivots) if c]
+    if _combine([(c, columns[s]) for c, s in used]) != target:
         return None
     out = t.alg.zero()
-    for c, g in zip(coeffs, gens):
-        if c:
-            out = out + g.scale(c)
+    for c, s in used:
+        out = out + gens[s].scale(c)
     return out
 
 

@@ -7,7 +7,11 @@ on every basis map, on seeded integer combinations and on maps with one
 coefficient changed.  verify_decomposition must give the reference's
 verdict on corrupted splits, and the law test must reject a unit change
 at a coordinate exactly when it leaves the solved space, naming the
-reference's witness.
+reference's witness.  The law test's failing slices, which bound the
+witness scan, must match a dense per-slice check at every failing unit
+change on small algebras.  verify_decomposition reads a table of its own:
+a fault in the table decompose reads must be stopped by it, and a fault
+in its own table must fail a correct split.
 """
 
 import random
@@ -17,9 +21,11 @@ import pytest
 import dense_oracle
 from liebider import (BilinearMap, Decomposition, MapLaw, NoCentralLambda,
                       NotLieBider, Poset, ResidualNotCentral, SpanChecker,
-                      block_upper_triangular, decompose, incidence_algebra,
-                      make_extremal, solve_space, upper_triangular,
+                      block_upper_triangular, decompose, incidence_algebra, law_residual,
+                      make_extremal, make_inner, solve_space, upper_triangular,
                       verify_decomposition)
+from liebider.algebra import _bracket_table, _brackets, _combine
+from liebider.decomp import _failing_slices, _verify_brackets
 
 ALGEBRAS = {
     "t3": lambda: upper_triangular(3, 2),
@@ -144,3 +150,105 @@ def test_law_test_matches_space_membership_at_every_coordinate(name):
             assert witness == dense_oracle.law_witness(phi), f
             compared += 1
     assert compared
+
+
+# -- the witness scan over the failing slices ------------------------------------
+
+WITNESS_ALGEBRAS = {
+    "t2": lambda: upper_triangular(2, 1),
+    "t3": ALGEBRAS["t3"],
+    "block21": ALGEBRAS["block21"],
+}
+
+
+def slice_fails(phi, s):
+    """Dense check that slice s is not a Lie derivation: phi(., b_s) for
+    s < dim (the slot 1 law), phi(b_{s - dim}, .) otherwise (slot 2)."""
+    basis = phi.algebra.basis()
+    dim = len(basis)
+    for x in range(dim):
+        for z in range(dim):
+            if s < dim:
+                res = law_residual(phi, MapLaw.LIE_BIDER, (basis[x], basis[s], basis[z]))[0]
+            else:
+                res = law_residual(phi, MapLaw.LIE_BIDER, (basis[s - dim], basis[x], basis[z]))[1]
+            if not res.is_zero():
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_ALGEBRAS))
+def test_witness_matches_dense_scan_at_every_failing_coordinate(name):
+    # a unit change at (i, j, k) of a basis map touches the slices
+    # phi(., b_j) and phi(b_i, .) only; the law test must name exactly those
+    # of them that fail, and the witness scan, which visits only the failing
+    # slices, must name the dense scan's first triple and residual
+    t = WITNESS_ALGEBRAS[name]()
+    space = solve_space(t.alg, MapLaw.LIE_BIDER)
+    dim = t.alg.dim
+    failing = 0
+    for f in range(dim ** 3):
+        ij, k = divmod(f, dim)
+        i, j = divmod(ij, dim)
+        phi = space[0] + BilinearMap(t.alg, {(i, j, k): 1})
+        bad = _failing_slices(t.alg, phi._rows())
+        assert bad == {s for s in (j, dim + i) if slice_fails(phi, s)}, f
+        if bad:
+            with pytest.raises(NotLieBider) as exc:
+                decompose(t, phi)
+            assert exc.value.witness == dense_oracle.law_witness(phi), f
+            failing += 1
+    assert failing
+
+
+# -- verify_decomposition shares no table with decompose -------------------------
+
+
+def faulted(t, table, key):
+    """A copy of a bracket table with the unit added to the row at key."""
+    unit = {k: v for k, v in enumerate(t.alg.unit) if v}
+    return {k: (_combine([(1, row), (1, unit)]) if k == key else row)
+            for k, row in table.items()}
+
+
+def test_verify_catches_a_fault_in_the_table_decompose_reads():
+    # one bracket row shifted by the unit in the cached table decompose
+    # reads: the lambda0 system (off-diagonal coordinates only) and the
+    # centrality test cannot see a central shift, so decompose builds a
+    # wrong mu, and only verify_decomposition, on its own table, stops it.
+    # Every split decompose still returns must be a true one by the dense
+    # reference.  The law test's rows are built before the fault.
+    caught = 0
+    for key in _brackets(upper_triangular(3, 2).alg):
+        t = upper_triangular(3, 2)
+        maps = solve_space(t.alg, MapLaw.LIE_BIDER)
+        t.alg._cache["brackets"] = faulted(t, _bracket_table(t.alg), key)
+        for n, phi in enumerate(maps):
+            try:
+                d = decompose(t, phi)
+            except RuntimeError:
+                caught += 1
+                continue
+            assert dense_oracle.verify_decomposition(t, phi, d), (key, n)
+    assert caught
+
+
+def test_verify_rejects_a_correct_split_with_a_fault_in_its_own_table():
+    # lambda0 = 1 and r = E13 reach every bracket pair, so the unit added
+    # to any one product row of verify's own table changes the rebuilt map
+    t = upper_triangular(3, 2)
+    one = t.alg.unit_element()
+    unit = {k: v for k, v in enumerate(t.alg.unit) if v}
+    phi = make_inner(t, one) + make_extremal(t, t.alg.basis_element(t.m_indices[0]))
+    d = decompose(t, phi)
+    assert any(d.lambda0.coords) and any(d.r.coords)
+    own = _verify_brackets(t.alg)
+    faults = 0
+    for p, terms in own.items():
+        for n, (i, s, row) in enumerate(terms):
+            bad = terms[:n] + ((i, s, _combine([(1, row), (1, unit)])),) + terms[n + 1:]
+            t.alg._cache["verify brackets"] = {**own, p: bad}
+            assert not verify_decomposition(t, phi, d), (p, n)
+            faults += 1
+    t.alg._cache["verify brackets"] = own
+    assert faults and verify_decomposition(t, phi, d)
