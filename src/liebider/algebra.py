@@ -14,9 +14,10 @@ the algebra's own _prod.  Each algebra keeps one lazily filled cache, _cache,
 for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
 integer echelon form of the single-argument derivation system of each law
 kind (_derivations, built once per kind, from an integer copy of the table),
-the Lie kind's echelon rows indexed by column (_derivation_columns), the
-center's coordinates and, for decomp.py, the bracket table by right factor
-and verify_decomposition's own index of the products.  The derivation
+each kind's echelon rows indexed by column (_derivation_columns, read by
+the solver's two-sided slice system and by the law test), the center's
+coordinates and, for decomp.py, the bracket table by right factor and
+verify_decomposition's own index of the products.  The derivation
 identity is fed only at the pairs that meet a generating set G, read off
 the table's one-term products (_generators): the x at which a map obeys
 the identity against every y form a subalgebra (by associativity, or by
@@ -378,18 +379,20 @@ def _derivations(alg, lie):
     return _cached(alg, ("derivations", lie), lambda a: _derivation_system(a, lie))
 
 
-def _derivation_columns(alg):
-    """The rows of _derivations(alg, True) by column, built once per
-    algebra: {col: ((row number, value), ...)} over the columns that some
-    row meets, so a sparse vector's products with every row are summed
-    from its own support only."""
+def _derivation_columns(alg, lie):
+    """The rows of _derivations(alg, lie) by column, built once per
+    algebra and law kind: {col: ((pivot, value), ...)} over the columns
+    that some row meets, each row named by its pivot column, so a sparse
+    vector's products with every row are summed from its own support
+    only.  The zero columns are not listed; they are read from the zero
+    bytes."""
     def index(alg):
         out = {}
-        for n, (cols, vals) in enumerate(_derivations(alg, True)[1]):
+        for cols, vals in _derivations(alg, lie)[1]:
             for col, v in zip(cols, vals):
-                out.setdefault(col, []).append((n, v))
+                out.setdefault(col, []).append((cols[0], v))
         return {col: tuple(hits) for col, hits in out.items()}
-    return _cached(alg, "derivation columns", index)
+    return _cached(alg, ("derivation columns", lie), index)
 
 
 def center_basis(alg):

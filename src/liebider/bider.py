@@ -10,10 +10,11 @@ derivations), keeps every vector a sparse {flat index: value} dict up to the
 stored maps, and emits its answer straight in the canonical kernel basis, so
 both routes agree exactly.  Both read the algebra's cached structure tables
 (algebra.py): the bracket or product table, and for solve_space the integer
-echelon rows of the derivation system.  solve_space reads the kernels of that
-system and of the two-sided slice system off their echelon rows as integer
-vectors, so everything stays in ints until each map is divided by its
-trailing entry, the one step that makes Fractions.
+echelon rows of the derivation system and their column index.  solve_space
+reads the kernels of that system and of the two-sided slice system off
+their echelon rows as integer vectors, through linalg.integer_kernel, so
+everything stays in ints until each map is divided by its trailing entry,
+the one step that makes Fractions.
 lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
 basis quadruple on the bracket table; lemma31_residual is the
 Element-arithmetic reference it is tested against.
@@ -21,11 +22,10 @@ Element-arithmetic reference it is tested against.
 
 import enum
 from fractions import Fraction
-from math import lcm
 
-from .algebra import (Element, _brackets, _combine, _derivations, _identity_rows, _table,
-                      lie_bracket, multiply)
-from .linalg import RowReducer, SparseMatrix
+from .algebra import (Element, _brackets, _combine, _derivation_columns, _derivations,
+                      _identity_rows, _table, lie_bracket, multiply)
+from .linalg import RowReducer, SparseMatrix, integer_kernel
 
 
 class NotCentral(Exception):
@@ -201,38 +201,6 @@ def constraint_matrix(alg, law):
     return SparseMatrix(nrow, dim ** 3, entries)
 
 
-def _integer_kernel(rows, pivots, ncols):
-    """Kernel basis of an integer echelon system, read off its rows.
-
-    rows are (pivot p, {col: int}) pairs of a fully inter-reduced echelon
-    form, pivots every pivot column.  One {col: int} vector per free column
-    f, ascending: 1 at f, 0 at the other free columns and -row[f]/row[p] at
-    each pivot p, all times the lcm m of those row[p].  Each such p is
-    below f, so m at f is the last nonzero entry.
-    """
-    solved = {}  # free column f -> [(pivot p, -row[f], row[p])]
-    for p, row in rows:
-        pv = row[p]
-        for c, v in row.items():
-            if c != p:
-                solved.setdefault(c, []).append((p, -v, pv))
-    kernel = []
-    for f in range(ncols):
-        if f not in pivots:
-            entries = solved.get(f, [])
-            m = lcm(*(pv for _, _, pv in entries))
-            kernel.append({p: v * (m // pv) for p, v, pv in entries} | {f: m})
-    return kernel
-
-
-def _derivation_basis(zero, rows, dim):
-    """The _integer_kernel of the derivation system (zero, rows): one
-    derivation D per free column, as {a·dim + k: v} with D(b_a) = Σ_k v·b_k."""
-    pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
-    return _integer_kernel([(cols[0], dict(zip(cols, vals))) for cols, vals in rows],
-                           pivots, dim * dim)
-
-
 def solve_space(alg, law):
     """Canonical basis of all bilinear maps satisfying the law.
 
@@ -245,8 +213,8 @@ def solve_space(alg, law):
     naive dim³ system: one row per fixed index l and echelon row of the
     derivation system, which is zero unless the echelon row has an entry at
     some (a, k) with D_s(b_l) nonzero at k for some s.  The echelon rows are
-    indexed by that output coordinate k, so only the rows that meet l are
-    built.
+    read through their cached column index (algebra._derivation_columns),
+    so only the rows that meet l are built.
 
     No dim³ reduction follows: x is nonzero at its last free column (l, s)
     and 0 at the other free ones, D_s is m_s at its last nonzero column f_s
@@ -259,7 +227,9 @@ def solve_space(alg, law):
     """
     dim = alg.dim
     zero, rows = _derivations(alg, law.lie)
-    derivs = _derivation_basis(zero, rows, dim)
+    pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
+    derivs = integer_kernel([(cols[0], dict(zip(cols, vals))) for cols, vals in rows],
+                            pivots, dim * dim)
     nd = len(derivs)
     first, second = law.slots
     if first != second:
@@ -268,17 +238,7 @@ def solve_space(alg, law):
         # impose that every second-index slice is itself a derivation, via
         # the integer echelon rows of the system; the D_s are integer too,
         # so every row is
-        grouped = []  # each echelon row as [(a, [(k, v)])], in pivot order
-        for cols, vals in sorted([((c,), (1,)) for c, z in enumerate(zero) if z] + list(rows)):
-            parts = {}
-            for flat, v in zip(cols, vals):
-                a, k = divmod(flat, dim)
-                parts.setdefault(a, []).append((k, v))
-            grouped.append(list(parts.items()))
-        meets = {}  # k -> numbers of the echelon rows with an entry at some (a, k)
-        for n, parts in enumerate(grouped):
-            for k in {k for _, part in parts for k, _ in part}:
-                meets.setdefault(k, []).append(n)
+        index = _derivation_columns(alg, law.lie)
         at = [{} for _ in range(dim)]  # at[l][k] = [(s, D_s[l][k])]
         for s, d in enumerate(derivs):
             for flat, w in d.items():
@@ -286,21 +246,24 @@ def solve_space(alg, law):
                 at[l].setdefault(k, []).append((s, w))
         red = RowReducer(dim * nd)
         for by_k in at:
-            # a row that meets none of the k where some D_s[l] is nonzero
-            # gives the zero row
-            for n in sorted(set().union(*(meets.get(k, ()) for k in by_k))):
-                out = {}
-                for a, part in grouped[n]:
-                    acc = {}
-                    for k, v in part:
-                        for s, w in by_k.get(k, ()):
-                            acc[s] = acc[s] + v * w if s in acc else v * w
-                    for s, c in acc.items():
-                        if c:
-                            out[a * nd + s] = c
+            # the row of pivot p sums v·D_s[l][k] over its entries v at
+            # (a, k) into column a·nd + s; a zero column is the row
+            # ((col, 1),), and a row that meets none of the k where some
+            # D_s[l] is nonzero gives the zero row
+            sums = {}
+            for k, terms in by_k.items():
+                for a in range(dim):
+                    col = a * dim + k
+                    for p, v in ((col, 1),) if zero[col] else index.get(col, ()):
+                        acc = sums.setdefault(p, {})
+                        for s, w in terms:
+                            c = a * nd + s
+                            acc[c] = acc[c] + v * w if c in acc else v * w
+            for p in sorted(sums):
+                out = {c: v for c, v in sums[p].items() if v}
                 if out:
                     red.add_row(out)
-        kernel = _integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim * nd)
+        kernel = integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim * nd)
     # D_s(b_a)_k lands at l·l_step + a·a_step + k: the fixed index l is the
     # first tensor index, except for lie-deriv-1
     l_step, a_step = (dim, dim * dim) if first and not second else (dim * dim, dim)

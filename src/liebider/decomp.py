@@ -22,7 +22,7 @@ algebra's structure tables (see algebra.py): the bracket table
 [b_i, b_j], here also indexed by right factor, and the integer echelon
 form of the Lie derivation system, the same cached form solve_space uses,
 so solving and decomposing on one algebra build it once.  The law test
-reads the echelon rows through their column index
+reads the echelon rows through the column index solve_space reads too
 (algebra._derivation_columns): one pass over the map's nonzero
 coefficients sums every slice's products with the rows that meet it.  It
 returns the slices that fail, and decompose() raises NotLieBider with the
@@ -233,7 +233,7 @@ def _failing_slices(alg, coeffs):
     index gives the rows it meets.  The map is scaled to integers, which
     leaves each sum's vanishing as is."""
     zero, _ = _derivations(alg, True)
-    index = _derivation_columns(alg)
+    index = _derivation_columns(alg, True)
     dim = alg.dim
     den = lcm(*(v.denominator for row in coeffs.values() for v in row.values()))
     none = ()
@@ -245,8 +245,8 @@ def _failing_slices(alg, coeffs):
             for s, col in ((j, i * dim + k), (dim + i, j * dim + k)):
                 if zero[col]:
                     bad.add(s)
-                for n, w in index.get(col, none):
-                    sums[s, n] = sums.get((s, n), 0) + v * w
+                for p, w in index.get(col, none):
+                    sums[s, p] = sums.get((s, p), 0) + v * w
     bad.update(s for (s, _), v in sums.items() if v)
     return bad
 
@@ -432,6 +432,13 @@ def _solve_alpha0(t, phi):
     return _central_solution(t, system, cen_a, target)
 
 
+def _sign(plus_all, minus_all):
+    """The sign a relation tested with both signs holds with: "both",
+    "+1", "-1", or None if neither holds everywhere."""
+    return {(True, True): "both", (True, False): "+1", (False, True): "-1"}.get(
+        (plus_all, minus_all))
+
+
 def lemma_suite(t, phi):
     """Run the structural identity checks on phi over the Peirce basis.
 
@@ -543,17 +550,10 @@ def lemma_suite(t, phi):
                 anti = phi(b, m) + phi(m, b)
                 if not anti.is_zero() and anti_wit is None:
                     anti_wit = {"basis": (lb, lm), "residual": anti}
-        if plus_all and minus_all:
-            sign = "both"
-        elif plus_all:
-            sign = "+1"
-        elif minus_all:
-            sign = "-1"
-        else:
-            sign = None
-            if wit is None:
-                wit = {"basis": ("b", "m"),
-                       "reason": "no consistent sign for phi(b, m) = ±alpha0*m*b"}
+        sign = _sign(plus_all, minus_all)
+        if sign is None and wit is None:
+            wit = {"basis": ("b", "m"),
+                   "reason": "no consistent sign for phi(b, m) = ±alpha0*m*b"}
         passed = wit is None and anti_wit is None and sign is not None
         record("3.4", passed, wit or anti_wit,
                {"alpha0": alpha0, "b_side_sign": sign})
@@ -628,17 +628,10 @@ def lemma_suite(t, phi):
                     plus_all = False
                 if eae != eta - shift:
                     minus_all = False
-        if plus_all and minus_all:
-            sign = "both"
-        elif plus_all:
-            sign = "+1"
-        elif minus_all:
-            sign = "-1"
-        else:
-            sign = None
-            if wit is None:
-                wit = {"basis": ("a1", "a2"),
-                       "reason": "no consistent sign for the diagonal relation"}
+        sign = _sign(plus_all, minus_all)
+        if sign is None and wit is None:
+            wit = {"basis": ("a1", "a2"),
+                   "reason": "no consistent sign for the diagonal relation"}
         passed = wit is None and sign is not None
         record("3.7", passed, wit, {"diagonal_sign": sign})
 

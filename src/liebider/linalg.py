@@ -5,12 +5,13 @@ decomposition) reduces to computing reduced row echelon forms, nullspace
 bases, and canonical solutions of sparse linear systems with Fraction
 entries.  The elimination engine keeps rows as gcd-normalized integer
 dictionaries and maintains a fully inter-reduced pivot set, so adding a row
-costs one elimination pass and the final form is the unique RREF.  No
-floating point anywhere.
+costs one elimination pass and the final form is the unique RREF.  One
+reader, integer_kernel, reads every kernel off such a form;
+nullspace_from_reducer is its Fraction view.  No floating point anywhere.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class Inconsistent(Exception):
@@ -252,21 +253,41 @@ def nullspace(m):
 
 
 def nullspace_from_reducer(red, ncols):
-    pivset = set(red.pivcols)
-    rows = red.echelon_rows()
-    pivs = red.sorted_pivcols()
+    """nullspace() of the rows reduced so far: the integer_kernel of the
+    reducer's echelon form, each vector divided by its entry at its free
+    column."""
     basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
+    for vec in integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), ncols):
+        m = vec[max(vec)]
         v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for p, row in zip(pivs, rows):
-            coef = row.get(f)
-            if coef:
-                v[p] = -coef
+        for c, x in vec.items():
+            v[c] = Fraction(x, m)
         basis.append(tuple(v))
     return basis
+
+
+def integer_kernel(rows, pivots, ncols):
+    """Kernel basis of an integer echelon system, read off its rows.
+
+    rows are (pivot p, {col: int}) pairs of a fully inter-reduced echelon
+    form, pivots every pivot column.  One {col: int} vector per free column
+    f, ascending: 1 at f, 0 at the other free columns and -row[f]/row[p] at
+    each pivot p, all times the lcm m of those row[p].  Each such p is
+    below f, so m at f is the last nonzero entry.
+    """
+    solved = {}  # free column f -> [(pivot p, -row[f], row[p])]
+    for p, row in rows:
+        pv = row[p]
+        for c, v in row.items():
+            if c != p:
+                solved.setdefault(c, []).append((p, -v, pv))
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            entries = solved.get(f, [])
+            m = lcm(*(pv for _, _, pv in entries))
+            kernel.append({p: v * (m // pv) for p, v, pv in entries} | {f: m})
+    return kernel
 
 
 def solve(m, rhs):
@@ -296,7 +317,9 @@ def solve(m, rhs):
 
 
 class SpanChecker:
-    """Membership oracle for the span of a fixed list of vectors."""
+    """Membership oracle for the span of a fixed list of vectors, each a
+    coordinate sequence or a sparse {col: value} dict of ints and
+    Fractions."""
 
     __slots__ = ("red", "ncols")
 
@@ -304,17 +327,21 @@ class SpanChecker:
         self.ncols = ncols
         self.red = RowReducer(ncols)
         for vec in vectors:
-            self.red.add_fraction_row({c: Fraction(v) for c, v in enumerate(vec) if v})
+            self.red.add_fraction_row(_sparse(vec))
 
     @property
     def rank(self):
         return self.red.rank
 
     def contains(self, vec):
-        """True iff vec, a coordinate sequence or a sparse {col: value}
-        dict of ints and Fractions, lies in the span."""
-        row = vec if isinstance(vec, dict) else {c: Fraction(v) for c, v in enumerate(vec) if v}
-        return not self.red.reduce_only(self.red.integer_row(row))
+        """True iff vec lies in the span."""
+        return not self.red.reduce_only(self.red.integer_row(_sparse(vec)))
+
+
+def _sparse(vec):
+    """A vector as a {col: value} dict: a dict as it is, a coordinate
+    sequence by its nonzero entries."""
+    return vec if isinstance(vec, dict) else {c: Fraction(v) for c, v in enumerate(vec) if v}
 
 
 def canonical_basis(rows, ncols):

@@ -127,7 +127,12 @@ def algebra_fingerprint(alg, idempotent_e=None):
 
 
 def save_algebra(path, alg, idempotent_e=None):
-    doc = algebra_to_doc(alg, idempotent_e)
+    return _write_json(path, algebra_to_doc(alg, idempotent_e))
+
+
+def _write_json(path, doc):
+    """Write a document as sorted, indented JSON and a final newline;
+    returns the document."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -168,11 +173,7 @@ def map_to_doc(phi, algebra_fpr):
 
 
 def save_map(path, phi, algebra_fpr):
-    doc = map_to_doc(phi, algebra_fpr)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return doc
+    return _write_json(path, map_to_doc(phi, algebra_fpr))
 
 
 def load_map(path, alg, expected_fpr):

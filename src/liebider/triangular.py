@@ -16,7 +16,7 @@ import random
 
 from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine, _integer_table,
                       center_basis, is_commutative, multiply)
-from .linalg import RowReducer, SpanChecker, SparseMatrix, nullspace, nullspace_from_reducer
+from .linalg import RowReducer, SpanChecker, nullspace_from_reducer
 
 
 class ConstructionError(ValueError):
@@ -393,21 +393,20 @@ def _standard_form_generators(t):
     return gens
 
 
-def standard_form_check(t):
-    """True iff every bimodule hom has the form m → a₀m + mb₀ with central a₀, b₀.
+def _spans_equal(first, second, ncols):
+    """(equal, rank of first, rank of second) for the spans of two lists of
+    vectors, coordinate sequences or sparse dicts: the spans are equal iff
+    they have one rank and the first holds every vector of the second."""
+    span, other = SpanChecker(first, ncols), SpanChecker(second, ncols)
+    return (span.rank == other.rank and all(span.contains(v) for v in second),
+            span.rank, other.rank)
 
-    The two spans are equal iff they have one rank and the hom span holds
-    every generator.
-    """
+
+def standard_form_check(t):
+    """True iff every bimodule hom has the form m → a₀m + mb₀ with central a₀, b₀."""
     dm = len(t.m_indices)
-    homs = [dict(enumerate(x for row in h for x in row)) for h in bimodule_hom_basis(t)]
-    gens = _standard_form_generators(t)
-    hom_span, gen_span = RowReducer(dm * dm), RowReducer(dm * dm)
-    for red, rows in ((hom_span, homs), (gen_span, gens)):
-        for row in rows:
-            red.add_fraction_row(row)
-    return (hom_span.rank == gen_span.rank
-            and not any(hom_span.reduce_only(RowReducer.integer_row(g)) for g in gens))
+    homs = [tuple(x for row in h for x in row) for h in bimodule_hom_basis(t)]
+    return _spans_equal(homs, _standard_form_generators(t), dm * dm)[0]
 
 
 def hypothesis_report(t):
@@ -417,23 +416,10 @@ def hypothesis_report(t):
     corner_b, glob_b = t.corner("b")
 
     # (i) both center projections surject onto the corner centers
-    def proj_center_vs_corner(glob, proj):
-        da = len(glob)
-        pos = {g: i for i, g in enumerate(glob)}
-        projected = []
-        for z in t.center:
-            pz = proj(z)
-            projected.append(tuple(pz.coords[g] for g in glob))
-        corner = corner_a if glob is glob_a else corner_b
-        corner_center = [z.coords for z in center_basis(corner)]
-        span_p = SpanChecker(projected, da)
-        span_c = SpanChecker(corner_center, da)
-        equal = (all(span_p.contains(v) for v in corner_center)
-                 and all(span_c.contains(v) for v in projected))
-        return equal, span_p.rank, span_c.rank
-
-    eq_a, dim_pa, dim_za = proj_center_vs_corner(glob_a, t.proj_a)
-    eq_b, dim_pb, dim_zb = proj_center_vs_corner(glob_b, t.proj_b)
+    (eq_a, dim_pa, dim_za), (eq_b, dim_pb, dim_zb) = (
+        _spans_equal([tuple(z.coords[g] for g in glob) for z in t.center],
+                     [z.coords for z in center_basis(corner)], len(glob))
+        for corner, glob in ((corner_a, glob_a), (corner_b, glob_b)))
     cond_i = eq_a and eq_b
     details["cond_i"] = {
         "pi_a_center_dim": dim_pa, "center_of_a_dim": dim_za, "a_equal": eq_a,
@@ -473,13 +459,18 @@ def hypothesis_report(t):
             alpha = corner_a.zero()
             for c, z in zip(coeffs, za):
                 alpha = alpha + z.scale(c)
-            entries = []
+            # the kernel of x → alpha·x on the corner, one row per output
+            # coordinate k
+            rows = {}
             for j in range(corner_a.dim):
                 col = multiply(alpha, corner_a.basis_element(j))
                 for k, v in enumerate(col.coords):
                     if v:
-                        entries.append((k, j, v))
-            kern = nullspace(SparseMatrix(corner_a.dim, corner_a.dim, entries))
+                        rows.setdefault(k, {})[j] = v
+            red = RowReducer(corner_a.dim)
+            for k in sorted(rows):
+                red.add_fraction_row(rows[k])
+            kern = nullspace_from_reducer(red, corner_a.dim)
             if kern:
                 found = {"alpha": [str(c) for c in alpha.coords],
                          "kernel_vector": [str(c) for c in kern[0]]}

@@ -20,7 +20,6 @@ from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
                       multiply, nullspace, solve_space, upper_triangular,
                       verify_decomposition)
 from liebider import algebra as algebra_module
-from liebider import bider as bider_module
 from liebider.bider import lemma31_failures
 from liebider.linalg import RowReducer, canonical_basis, nullspace_from_reducer
 
@@ -222,14 +221,19 @@ def test_sparse_solver_matches_full_system(name, law):
 
 def spanning_route(alg, law):
     """The law space by an independent last step: a spanning set from the
-    derivation basis, rewritten by canonical_basis over all dim³ columns.
+    derivation basis, read by nullspace_from_reducer off the echelon rows,
+    rewritten by canonical_basis over all dim³ columns.
 
     solve_space emits the canonical basis directly instead; this is the
     route it replaced.
     """
     dim = alg.dim
     zero, rows = algebra_module._derivations(alg, law.lie)
-    derivs = bider_module._derivation_basis(zero, rows, dim)
+    echelon = [((c,), (1,)) for c, z in enumerate(zero) if z] + list(rows)
+    red = RowReducer(dim * dim)
+    for cols, vals in echelon:
+        red.add_row(dict(zip(cols, vals)))
+    derivs = [{c: v for c, v in enumerate(x) if v} for x in nullspace_from_reducer(red, dim * dim)]
     nd = len(derivs)
     first, second = law.slots
     if first != second:
@@ -243,7 +247,6 @@ def spanning_route(alg, law):
                 vectors.append(vec)
         return canonical_basis(vectors, dim ** 3)
     # every slice at a fixed second index l is a derivation too
-    echelon = [((c,), (1,)) for c, z in enumerate(zero) if z] + list(rows)
     red = RowReducer(dim * nd)
     for l in range(dim):
         at_k = {}  # k -> [(s, D_s(b_l)_k)]
@@ -257,7 +260,7 @@ def spanning_route(alg, law):
                 a, k = divmod(flat, dim)
                 for s, w in at_k.get(k, ()):
                     out[a * nd + s] = out.get(a * nd + s, 0) + v * w
-            red.add_row({c: v for c, v in out.items() if v})
+            red.add_fraction_row(out)
     vectors = []
     for x in nullspace_from_reducer(red, dim * nd):
         vec = {}
@@ -515,19 +518,22 @@ def test_lie_derivation_system_built_once(monkeypatch):
     assert calls == [True, False]
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (3, 2)], ids=["t2", "t3"])
-def test_lemma31_sweep_counts_nonzero_residuals(n, k):
+@pytest.mark.parametrize("n,k,whole", [(2, 1, True), (3, 2, True), (4, 2, False)],
+                         ids=["t2", "t3", "t4"])
+def test_lemma31_sweep_counts_nonzero_residuals(n, k, whole):
     alg = upper_triangular(n, k).alg
     basis = alg.basis()
     quads = list(product(basis, repeat=4))
     space = solve_space(alg, MapLaw.LIE_BIDER)
-    # phi(E11, E12) gains E11: off the law, and Lemma 3.1 sees it
+    # phi(E11, E12) gains E11: off the law, and Lemma 3.1 sees it.  The
+    # dense reference takes seconds a map at T4's 10⁴ quadruples, so there
+    # the perturbed map alone pins the sweep on the larger table
     perturbed = space[0] + BilinearMap(alg, {(0, 1, 0): 1})
-    maps = space + [perturbed]
+    maps = (space if whole else []) + [perturbed]
     want = [sum(not lemma31_residual(phi, quad).is_zero() for quad in quads)
             for phi in maps]
     assert [lemma31_failures(phi) for phi in maps] == want
-    assert want[:-1] == [0] * len(space)
+    assert want[:-1] == [0] * (len(maps) - 1)
     assert want[-1] > 0
 
 

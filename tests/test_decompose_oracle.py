@@ -11,7 +11,9 @@ reference's witness.  The law test's failing slices, which bound the
 witness scan, must match a dense per-slice check at every failing unit
 change on small algebras.  verify_decomposition reads a table of its own:
 a fault in the table decompose reads must be stopped by it, and a fault
-in its own table must fail a correct split.
+in its own table must fail a correct split.  A bracket row doubled in
+decompose's table must raise ResidualNotCentral at that row's pair, and
+the CLI must render that witness.
 """
 
 import random
@@ -19,6 +21,7 @@ import random
 import pytest
 
 import dense_oracle
+from liebider import cli
 from liebider import (BilinearMap, Decomposition, MapLaw, NoCentralLambda,
                       NotLieBider, Poset, ResidualNotCentral, SpanChecker,
                       block_upper_triangular, decompose, incidence_algebra, law_residual,
@@ -252,3 +255,33 @@ def test_verify_rejects_a_correct_split_with_a_fault_in_its_own_table():
             faults += 1
     t.alg._cache["verify brackets"] = own
     assert faults and verify_decomposition(t, phi, d)
+
+
+def test_residual_not_central_names_the_pair_of_a_doubled_bracket_row():
+    # one bracket row doubled in the cached table decompose reads, after the
+    # law test's rows are built: the lambda0 system cannot absorb it, so the
+    # residual at that pair, in its (i, j) order, is the first non-central
+    # value; basis map 8 of T3 shows it at four of the rows
+    raised = {}
+    for key in _brackets(upper_triangular(3, 2).alg):
+        t = upper_triangular(3, 2)
+        maps = solve_space(t.alg, MapLaw.LIE_BIDER)
+        t.alg._cache["brackets"] = {k: ({c: 2 * v for c, v in row.items()} if k == key else row)
+                                    for k, row in _bracket_table(t.alg).items()}
+        for n, phi in enumerate(maps):
+            try:
+                decompose(t, phi)
+            except NoCentralLambda:
+                continue
+            except ResidualNotCentral as exc:
+                i, j, value = exc.witness
+                assert (i, j) == key
+                assert value.algebra is t.alg and not t.is_central(value)
+                raised[key] = (n, exc)
+    assert {key: n for key, (n, _) in raised.items()} == {
+        (0, 1): 8, (1, 0): 8, (1, 3): 8, (3, 1): 8}
+    exc = raised[(1, 0)][1]
+    assert str(exc) == "residual at basis pair (1, 0) is not central: -1*E12"
+    assert cli._witness_lines(exc) == ["witness_pair: 1 0", "witness_value: 0 -1 0 0 0 0"]
+    assert cli._witness_doc(exc) == {
+        "pair": [1, 0], "value": [[0, 1], [-1, 1], [0, 1], [0, 1], [0, 1], [0, 1]]}
