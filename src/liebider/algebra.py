@@ -22,7 +22,10 @@ identity is fed only at the pairs that meet a generating set G, read off
 the table's one-term products (_generators): the x at which a map obeys
 the identity against every y form a subalgebra (by associativity, or by
 the Jacobi identity for the bracket), so the rows at G span all the
-others.
+others.  Each identity row is built from an index of the table by left
+and by right factor, made once per table (_factor_index), so it visits
+only the nonzero products, and the rows go through linalg.reduce_rows,
+which reduces no row of a component of columns that is already full.
 Cached values are ints, Fractions, bytes, dicts and tuples only, never
 Elements or the algebra itself, so an algebra stays free of reference
 cycles.  They are shared, not copied: callers read them and never change
@@ -41,7 +44,7 @@ _cache and last as long as the triangular algebra does.
 from fractions import Fraction
 from math import lcm
 
-from .linalg import RowReducer, nullspace_from_reducer
+from .linalg import RowReducer, nullspace_from_reducer, reduce_rows
 
 
 class MixedAlgebras(Exception):
@@ -280,25 +283,37 @@ def _table(alg, lie):
     return _brackets(alg) if lie else alg._prod
 
 
-def _identity_rows(tab, dim, a, c):
+def _factor_index(tab):
+    """The entries of tab by factor, for _identity_rows: (left, right)
+    with left[a] the (k, b_a o b_k) and right[c] the (k, b_k o b_c) over
+    tab's nonzero rows, k ascending."""
+    left, right = {}, {}
+    for (i, j), row in sorted(tab.items()):
+        left.setdefault(i, []).append((j, row))
+        right.setdefault(j, []).append((i, row))
+    return left, right
+
+
+def _identity_rows(tab, index, dim, a, c):
     """The derivation identity d(b_a o b_c) - d(b_a) o b_c - b_a o d(b_c),
     o read from tab, over the unknowns d[a'][k] (flat a'*dim + k, with
     d(b_a') = sum_k d[a'][k] b_k): one (q, {unknown: coefficient}) row per
-    output coordinate q, ascending, zero rows left out."""
+    output coordinate q, ascending, zero rows left out.  index is
+    _factor_index(tab), made once per table by the caller, so only the
+    nonzero b_k o b_c and b_a o b_k are visited."""
+    left, right = index
     rows = {}
-
-    def put(q, col, v):
-        row = rows.setdefault(q, {})
-        row[col] = row[col] + v if col in row else v
-
     for p, v in tab.get((a, c), {}).items():
         for q in range(dim):
-            put(q, p * dim + q, v)
-    for k in range(dim):
-        for q, v in tab.get((k, c), {}).items():
-            put(q, a * dim + k, -v)
-        for q, v in tab.get((a, k), {}).items():
-            put(q, c * dim + k, -v)
+            row = rows.setdefault(q, {})
+            col = p * dim + q
+            row[col] = row[col] + v if col in row else v
+    for base, terms in ((a * dim, right.get(c, ())), (c * dim, left.get(a, ()))):
+        for k, prod in terms:
+            col = base + k
+            for q, v in prod.items():
+                row = rows.setdefault(q, {})
+                row[col] = row[col] - v if col in row else -v
     out = []
     for q in sorted(rows):
         row = {col: v for col, v in rows[q].items() if v}
@@ -350,7 +365,9 @@ def _derivation_system(alg, lie):
     rows are built from an integer copy of the table, the table times the
     lcm of its denominators: each identity term carries exactly one table
     factor, so every row scales by that one factor and its span is
-    unchanged.  The integer rows go to the RowReducer as they are.
+    unchanged.  The integer rows go through linalg.reduce_rows as they
+    are, so the rows of a component of columns that is already full are
+    not reduced.
 
     Returns (zero, rows).  An echelon row with one entry only says that
     its column vanishes: zero[col] is 1 for those columns and 0 elsewhere.
@@ -361,13 +378,11 @@ def _derivation_system(alg, lie):
     """
     dim = alg.dim
     tab = _integer_table(_table(alg, lie))
+    index = _factor_index(tab)
     gens = set(_generators(tab, dim))
-    red = RowReducer(dim * dim)
-    for a in range(dim):
-        for c in range(a + 1 if lie else 0, dim):
-            if a in gens or lie and c in gens:
-                for _, row in _identity_rows(tab, dim, a, c):
-                    red.add_row(row)
+    red = reduce_rows((row for a in range(dim) for c in range(a + 1 if lie else 0, dim)
+                       if a in gens or lie and c in gens
+                       for _, row in _identity_rows(tab, index, dim, a, c)), dim * dim)
     rows = [tuple(zip(*sorted(row.items()))) for row in red.pivrows]
     zero = {cols[0] for cols, _ in rows if len(cols) == 1}
     return (bytes(c in zero for c in range(dim * dim)),

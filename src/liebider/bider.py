@@ -14,7 +14,11 @@ echelon rows of the derivation system and their column index.  solve_space
 reads the kernels of that system and of the two-sided slice system off
 their echelon rows as integer vectors, through linalg.integer_kernel, so
 everything stays in ints until each map is divided by its trailing entry,
-the one step that makes Fractions.
+the one step that makes Fractions.  A one-sided law's maps are shifted
+copies of the derivation basis, so each derivation is divided by its
+trailing entry once and then shifted to every fixed index.  The
+two-sided slice system goes through linalg.reduce_rows, which reduces
+no row of a component of columns that is already full.
 lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
 basis quadruple on the bracket table; lemma31_residual is the
 Element-arithmetic reference it is tested against.
@@ -24,8 +28,8 @@ import enum
 from fractions import Fraction
 
 from .algebra import (Element, _brackets, _combine, _derivation_columns, _derivations,
-                      _identity_rows, _table, lie_bracket, multiply)
-from .linalg import RowReducer, SparseMatrix, integer_kernel
+                      _factor_index, _identity_rows, _table, lie_bracket, multiply)
+from .linalg import SparseMatrix, integer_kernel, reduce_rows
 
 
 class NotCentral(Exception):
@@ -180,6 +184,7 @@ def constraint_matrix(alg, law):
     """
     dim = alg.dim
     tab = _table(alg, law.lie)
+    index = _factor_index(tab)
     entries = []
     nrow = 0
     for slot_first, on in zip((True, False), law.slots):
@@ -192,7 +197,7 @@ def constraint_matrix(alg, law):
                     # identity of the slice φ(., b_l) at (b_i, b_j); slot 2 at
                     # (x, y, z) = (b_i, b_j, b_l) that of φ(b_i, .) at (b_j, b_l)
                     a, c = (i, j) if slot_first else (j, l)
-                    for q, row in _identity_rows(tab, dim, a, c):
+                    for q, row in _identity_rows(tab, index, dim, a, c):
                         for u, v in row.items():
                             a2, k = divmod(u, dim)
                             col = (a2 * dim + l if slot_first else i * dim + a2) * dim + k
@@ -232,58 +237,67 @@ def solve_space(alg, law):
                             pivots, dim * dim)
     nd = len(derivs)
     first, second = law.slots
-    if first != second:
-        kernel = [{col: 1} for col in range(dim * nd)]
-    else:
-        # impose that every second-index slice is itself a derivation, via
-        # the integer echelon rows of the system; the D_s are integer too,
-        # so every row is
-        index = _derivation_columns(alg, law.lie)
-        at = [{} for _ in range(dim)]  # at[l][k] = [(s, D_s[l][k])]
-        for s, d in enumerate(derivs):
-            for flat, w in d.items():
-                l, k = divmod(flat, dim)
-                at[l].setdefault(k, []).append((s, w))
-        red = RowReducer(dim * nd)
-        for by_k in at:
-            # the row of pivot p sums v·D_s[l][k] over its entries v at
-            # (a, k) into column a·nd + s; a zero column is the row
-            # ((col, 1),), and a row that meets none of the k where some
-            # D_s[l] is nonzero gives the zero row
-            sums = {}
-            for k, terms in by_k.items():
-                for a in range(dim):
-                    col = a * dim + k
-                    for p, v in ((col, 1),) if zero[col] else index.get(col, ()):
-                        acc = sums.setdefault(p, {})
-                        for s, w in terms:
-                            c = a * nd + s
-                            acc[c] = acc[c] + v * w if c in acc else v * w
-            for p in sorted(sums):
-                out = {c: v for c, v in sums[p].items() if v}
-                if out:
-                    red.add_row(out)
-        kernel = integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim * nd)
     # D_s(b_a)_k lands at l·l_step + a·a_step + k: the fixed index l is the
-    # first tensor index, except for lie-deriv-1
+    # first tensor index, except for lie-deriv-1; either way the placing
+    # keeps the order of D_s's entries, so its last entry m_s stays last
     l_step, a_step = (dim, dim * dim) if first and not second else (dim * dim, dim)
-    placed = [[(flat // dim * a_step + flat % dim, v) for flat, v in d.items()] for d in derivs]
-    maps = []
-    quotients = {}  # (v, m) -> Fraction(v, m): the maps share few distinct values
-    for x in kernel:
-        vec = {}
-        for col, c in x.items():
-            l, s = divmod(col, nd)
-            base = l * l_step
-            for off, v in placed[s]:
-                f = base + off
-                vec[f] = vec[f] + c * v if f in vec else c * v
-        last = max(vec)
-        m = vec[last]
-        maps.append((last, {f: quotients.get((v, m)) or quotients.setdefault((v, m), Fraction(v, m))
-                            for f, v in sorted(vec.items()) if v}))
+    placed = [sorted((flat // dim * a_step + flat % dim, v) for flat, v in d.items())
+              for d in derivs]
+    if first != second:
+        # the kernel is every unit vector (l, s), and its map is D_s
+        # shifted by l·l_step: each D_s is divided by m_s once
+        normed = [(d[-1][0], [(off, Fraction(v, d[-1][1])) for off, v in d]) for d in placed]
+        maps = [(base + last, {base + off: q for off, q in d})
+                for base in range(0, dim * l_step, l_step) for last, d in normed]
+    else:
+        red = reduce_rows(_slice_rows(_derivation_columns(alg, law.lie), zero, derivs, dim),
+                          dim * nd)
+        maps = []
+        quotients = {}  # (v, m) -> Fraction(v, m): the maps share few distinct values
+        for x in integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim * nd):
+            vec = {}
+            for col, c in x.items():
+                l, s = divmod(col, nd)
+                base = l * l_step
+                for off, v in placed[s]:
+                    f = base + off
+                    vec[f] = vec[f] + c * v if f in vec else c * v
+            last = max(vec)
+            m = vec[last]
+            maps.append((last, {f: quotients.get((v, m)) or quotients.setdefault((v, m), Fraction(v, m))
+                                for f, v in sorted(vec.items()) if v}))
     maps.sort(key=lambda pair: pair[0])
     return [BilinearMap._of(alg, vec) for _, vec in maps]
+
+
+def _slice_rows(index, zero, derivs, dim):
+    """The rows of the two-sided slice system, in integers: every
+    second-index slice Σ_s x[l][s]·D_s must itself be a derivation.  For
+    each fixed index l and echelon row of the derivation system (zero
+    columns as the row ((col, 1),)), the row sums v·D_s[l][k] over its
+    entries v at (a, k) into column a·nd + s.  The echelon rows are read
+    through their column index, so a row is built only where it meets
+    some k with D_s[l] nonzero at k; the rest are zero."""
+    nd = len(derivs)
+    at = [{} for _ in range(dim)]  # at[l][k] = [(s, D_s[l][k])]
+    for s, d in enumerate(derivs):
+        for flat, w in d.items():
+            l, k = divmod(flat, dim)
+            at[l].setdefault(k, []).append((s, w))
+    for by_k in at:
+        sums = {}  # pivot of the echelon row -> its row at this l
+        for k, terms in by_k.items():
+            for a in range(dim):
+                col = a * dim + k
+                for p, v in ((col, 1),) if zero[col] else index.get(col, ()):
+                    acc = sums.setdefault(p, {})
+                    for s, w in terms:
+                        c = a * nd + s
+                        acc[c] = acc[c] + v * w if c in acc else v * w
+        for p in sorted(sums):
+            out = {c: v for c, v in sums[p].items() if v}
+            if out:
+                yield out
 
 
 def make_inner(t, lam):

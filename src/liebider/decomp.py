@@ -48,7 +48,8 @@ table itself, indexed once per algebra by a function of its own
 data with what it checks.  It adds up lambda0*[b_i, b_j], [b_i, [b_j, r]] and mu at the
 pairs these terms reach and compares with phi there and at phi's own
 pairs; at every other pair both sides vanish, so the check covers every
-basis pair.
+basis pair.  decompose() runs the same check (_verify_rows) on phi's and
+mu's rows as it has just grouped them, instead of grouping them again.
 
 Where the literature shows sign discrepancies between a statement and its
 proof, the suite tests both candidate signs and records which one holds,
@@ -315,6 +316,7 @@ def decompose(t, phi):
     central = t._center_span
     dim = alg.dim
     flat = {}  # mu's coefficients by flat index (i*dim + j)*dim + k
+    mu_rows = {}  # and by pair, as mu._rows() would group them
     # a pair outside both tables has a zero residual; sorted, so the first
     # non-central value is the first in (i, j) order
     for key in sorted(rest.keys() | br.keys()):
@@ -330,10 +332,11 @@ def decompose(t, phi):
             raise ResidualNotCentral((i, j, _element(alg, val)))
         base = (i * dim + j) * dim
         flat.update((base + k, v) for k, v in val.items())
+        mu_rows[key] = val
     mu = BilinearMap._of(alg, flat)
 
     d = Decomposition(lambda0, r, mu)
-    if not verify_decomposition(t, phi, d):
+    if not _verify_rows(t, coeffs, d, mu_rows):
         raise RuntimeError("internal error: extracted parts fail verification")
     return d
 
@@ -347,9 +350,15 @@ def verify_decomposition(t, phi, d):
         return False
     if d.lambda0.algebra is not alg or d.r.algebra is not alg:
         return False
+    return _verify_rows(t, phi._rows(), d, d.mu._rows())
+
+
+def _verify_rows(t, rows, d, mu):
+    """verify_decomposition on phi and mu already grouped by pair, as
+    _rows() gives them; decompose() passes the rows it has built."""
+    alg = t.alg
     central = t._center_span
     lam = {k: c for k, c in enumerate(d.lambda0.coords) if c}
-    mu = d.mu._rows()
     if not (central.contains(lam) and all(central.contains(row) for row in mu.values())):
         return False
     by_right = _verify_brackets(alg)
@@ -365,7 +374,6 @@ def verify_decomposition(t, phi, d):
     for part in (_extremal(by_right, d.r.coords), mu):
         for key, row in part.items():
             rebuilt.setdefault(key, []).append((1, row))
-    rows = phi._rows()
     empty = {}
     return all(_combine(rebuilt.get(key, ())) == rows.get(key, empty)
                for key in rebuilt.keys() | rows.keys())

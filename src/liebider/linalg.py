@@ -5,9 +5,13 @@ decomposition) reduces to computing reduced row echelon forms, nullspace
 bases, and canonical solutions of sparse linear systems with Fraction
 entries.  The elimination engine keeps rows as gcd-normalized integer
 dictionaries and maintains a fully inter-reduced pivot set, so adding a row
-costs one elimination pass and the final form is the unique RREF.  One
-reader, integer_kernel, reads every kernel off such a form;
-nullspace_from_reducer is its Fraction view.  No floating point anywhere.
+costs one elimination pass and the final form is the unique RREF.
+reduce_rows feeds a whole system to one such reducer and passes over
+every row whose connected component of columns already has a pivot in
+each of its columns: that row is dependent, so the reducer ends as
+feeding every row would leave it.  One reader, integer_kernel, reads
+every kernel off such a form; nullspace_from_reducer is its Fraction
+view.  No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -217,6 +221,49 @@ class RowReducer:
 
     def sorted_pivcols(self):
         return sorted(self.pivcols)
+
+
+def reduce_rows(rows, ncols):
+    """A RowReducer fed the integer row dicts of rows in order, less the
+    rows that cannot add rank.
+
+    The columns fall into connected components, two columns joined when
+    some row meets both: a union-find over the row supports, grown as the
+    rows arrive.  Elimination never mixes rows of different components,
+    so a component's pivots come from its own rows and lie in its own
+    columns.  Once it has a pivot in every column, its rows span every
+    vector on those columns, and a later row inside it is dependent: such
+    a row is dropped without being reduced.  Feeding it would leave the
+    reducer as it was, so the result is the reducer that feeding every row
+    gives.  A row that brings a new column is always fed.  rows may be any
+    iterable; each row is consumed or dropped when it is reached.
+    """
+    red = RowReducer(ncols)
+    parent = [-1] * ncols  # parent column, a root its own, -1 before a row meets it
+    size = [0] * ncols     # at a root: the columns of its component
+    pivots = [0] * ncols   # and its pivots
+    for row in rows:
+        root = -1
+        for c in row:
+            r = parent[c]
+            if r < 0:
+                parent[c] = r = c
+                size[c] = 1
+            else:
+                while parent[r] != r:
+                    parent[r] = r = parent[parent[r]]
+            if root < 0:
+                root = r
+            elif r != root:
+                # the smaller component joins the larger
+                if size[r] > size[root]:
+                    root, r = r, root
+                parent[r] = root
+                size[root] += size[r]
+                pivots[root] += pivots[r]
+        if root >= 0 and pivots[root] < size[root] and red.add_row(row) is not None:
+            pivots[root] += 1
+    return red
 
 
 def _reduce_matrix(m):

@@ -14,9 +14,9 @@ of diagonal units, and built by one matrix-unit builder.
 from fractions import Fraction
 import random
 
-from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine, _integer_table,
-                      center_basis, is_commutative, multiply)
-from .linalg import RowReducer, SpanChecker, nullspace_from_reducer
+from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine, _generators,
+                      _integer_table, center_basis, is_commutative, multiply)
+from .linalg import RowReducer, SpanChecker, nullspace_from_reducer, reduce_rows
 
 
 class ConstructionError(ValueError):
@@ -341,7 +341,9 @@ def bimodule_hom_basis(t):
     A hom is a dm×dm matrix H over the eTf basis, h(m_j) = Σ_i H[i][j] m_i,
     commuting with the left A-action and the right B-action.  The system
     is built from the sparse integer product table, one row per actor, j
-    and output coordinate, and reduced as it is.  Returned as
+    and output coordinate, with the generators of each corner as the
+    actors (see _hom_rows), and reduced through linalg.reduce_rows as it
+    is.  Returned as
     tuples of row tuples, one per basis hom, in the canonical nullspace
     order of the flattened (i, j) unknowns.
     """
@@ -349,15 +351,29 @@ def bimodule_hom_basis(t):
 
 
 def _bimodule_homs(t):
-    # h(a·m_j) = a·h(m_j) and h(m_j·b) = h(m_j)·b, one row per (actor, j, o)
-    # over the unknowns H[i][j] at i·dm + j, on the integer product table:
-    # every term carries one table factor, so the kernel is unchanged
+    dm = len(t.m_indices)
+    red = reduce_rows(_hom_rows(t), dm * dm)
+    return tuple(tuple(tuple(vec[i * dm + j] for j in range(dm)) for i in range(dm))
+                 for vec in nullspace_from_reducer(red, dm * dm))
+
+
+def _hom_rows(t):
+    """The rows of the bimodule hom system: h(a·m_j) = a·h(m_j) and
+    h(m_j·b) = h(m_j)·b, one row per (actor, j, o) over the unknowns
+    H[i][j] at i·dm + j, on the integer product table (every term carries
+    one table factor, so the kernel is unchanged).
+
+    The actors are the _generators of each corner's own product table
+    only.  The a in A with h(a·m) = a·h(m) for every m form a subalgebra,
+    since h(a·a'·m) = a·h(a'·m) = a·a'·h(m), and so do the b in B with
+    h(m·b) = h(m)·b; a subalgebra that holds a generating set is the whole
+    corner, so the generators' rows span those of every actor."""
     dm = len(t.m_indices)
     tab = _integer_table(t.alg._prod)
-    red = RowReducer(dm * dm)
-    for left, actors in ((True, t.a_indices), (False, t.b_indices)):
-        for g in actors:
-            image = _action(t, tab, g, left)
+    for left, side in ((True, "a"), (False, "b")):
+        corner, glob = t.corner(side)
+        for g in _generators(corner._prod, corner.dim):
+            image = _action(t, tab, glob[g], left)
             into = [[] for _ in range(dm)]  # into[o] = [(u, p)]: the image of m_u is p at m_o
             for u, im in enumerate(image):
                 for o, p in im.items():
@@ -369,9 +385,7 @@ def _bimodule_homs(t):
                         row[u * dm + j] = row.get(u * dm + j, 0) - p
                     row = {col: v for col, v in row.items() if v}
                     if row:
-                        red.add_row(row)
-    return tuple(tuple(tuple(vec[i * dm + j] for j in range(dm)) for i in range(dm))
-                 for vec in nullspace_from_reducer(red, dm * dm))
+                        yield row
 
 
 def _standard_form_generators(t):

@@ -203,6 +203,9 @@ def t3_reversed():
 ECHELON_ALGEBRAS = {name: lambda make=make: make().alg for name, make in SOLVER_ALGEBRAS.items()}
 ECHELON_ALGEBRAS.update(t2=lambda: upper_triangular(2, 1).alg,
                         block22=lambda: block_upper_triangular([2, 2], 1).alg,
+                        # a full 2×2 corner: lie-deriv-1 interleaves the
+                        # shifted copies of its many derivations
+                        block12=lambda: block_upper_triangular([1, 2], 1).alg,
                         one=one_dim, t3_reversed=t3_reversed)
 
 
@@ -217,6 +220,29 @@ def test_sparse_solver_matches_full_system(name, law):
     for phi in space:
         assert list(phi._flat) == sorted(phi._flat)
         assert phi == BilinearMap.from_flat(alg, phi.flat())
+
+
+@pytest.mark.parametrize("lie", [False, True], ids=["product", "bracket"])
+@pytest.mark.parametrize("name", ["t3", "v"])
+def test_identity_rows_match_constraint_matrix(name, lie):
+    # the slot 2 rows of lie-deriv-2 (bracket) or assoc-bider (product,
+    # after its dim**4 slot 1 rows) at i = 0 are those of the pair
+    # (j, l) = (a, c), over the columns u = a'*dim + k; the dense oracle
+    # builds them from Element arithmetic
+    alg = ECHELON_ALGEBRAS[name]()
+    dim = alg.dim
+    tab = algebra_module._table(alg, lie)
+    index = algebra_module._factor_index(tab)
+    system = constraint_matrix(alg, MapLaw.LIE_DERIV_SECOND if lie else MapLaw.ASSOC_BIDER)
+    matrix_rows = system.row_dicts()[0 if lie else dim ** 4:]
+    dense = dense_oracle.derivation_rows(alg, lie)
+    for a in range(dim):
+        for c in range(dim):
+            got = dict(algebra_module._identity_rows(tab, index, dim, a, c))
+            at = range((a * dim + c) * dim, (a * dim + c + 1) * dim)
+            assert got == {q: matrix_rows[n] for q, n in enumerate(at) if matrix_rows[n]}
+            assert got == {q: {col: v for col, v in enumerate(dense[n]) if v}
+                           for q, n in enumerate(at) if any(dense[n])}
 
 
 def spanning_route(alg, law):

@@ -11,6 +11,7 @@ from dense_oracle import dense_kernel
 from matrix_helpers import from_dense, mul_vector, to_dense
 from liebider import (Inconsistent, RowReducer, SparseMatrix, SpanChecker,
                       canonical_basis, nullspace, rref, solve)
+from liebider.linalg import reduce_rows
 
 
 def mat(rows):
@@ -197,3 +198,76 @@ def test_reduce_only_reports_dependence():
     red.add_row({0: 1, 1: 1})
     assert red.reduce_only({0: 2, 1: 2}) == {}
     assert red.reduce_only({0: 1}) != {}
+
+
+# -- reduce_rows --------------------------------------------------------------
+
+def fed_rows(rows, ncols):
+    """reduce_rows on copies of rows, with the rows it feeds to add_row."""
+    fed = []
+    add_row = RowReducer.add_row
+
+    def counted(self, row):
+        fed.append(dict(row))
+        return add_row(self, row)
+
+    RowReducer.add_row = counted
+    try:
+        red = reduce_rows((dict(row) for row in rows), ncols)
+    finally:
+        RowReducer.add_row = add_row
+    return red, fed
+
+
+def fed_every_row(rows, ncols):
+    red = RowReducer(ncols)
+    for row in rows:
+        red.add_row(dict(row))
+    return red
+
+
+def test_reduce_rows_drops_the_rows_of_a_full_component():
+    rows = [{0: 1}, {1: 2, 2: 1}, {0: 3}, {1: 1}, {1: 5, 2: 7}, {2: 1, 3: 1}]
+    red, fed = fed_rows(rows, 4)
+    # {0: 3} meets the full {0}, {1: 5, 2: 7} the full {1, 2}; the last row
+    # brings column 3, so it is fed
+    assert fed == [rows[0], rows[1], rows[3], rows[5]]
+    full = fed_every_row(rows, 4)
+    assert (red.pivrows, red.pivcols) == (full.pivrows, full.pivcols)
+
+
+@st.composite
+def block_systems(draw):
+    """(rows, ncols): sparse integer rows over 2 to 4 blocks of columns,
+    each row inside one block, interleaved.  Every block but the first
+    also gets a nonzero multiple of each of its unit rows, so it fills;
+    every row of the first block has one nonzero value at both its first
+    and its last column, so it never does."""
+    widths = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    nonzero = st.integers(-9, 9).filter(bool)
+    rows = []
+    start = 0
+    for b, w in enumerate(widths):
+        cols = list(range(start, start + w))
+        block = draw(st.lists(st.dictionaries(st.sampled_from(cols), nonzero, max_size=w),
+                              max_size=6))
+        if b == 0:
+            for row in block:
+                row[cols[0]] = row[cols[-1]] = draw(nonzero)
+        else:
+            block += [{c: draw(nonzero)} for c in cols]
+        rows += [row for row in block if row]
+        start += w
+    return draw(st.permutations(rows)), start
+
+
+@settings(max_examples=200)
+@given(block_systems())
+def test_reduce_rows_matches_feeding_every_row(system):
+    rows, ncols = system
+    red, fed = fed_rows(rows, ncols)
+    full = fed_every_row(rows, ncols)
+    assert (red.pivrows, red.pivcols) == (full.pivrows, full.pivcols)
+    assert len(fed) <= len(rows)
+    # the first block's component never fills, so each of its rows is fed
+    assert sum(0 in row for row in fed) == sum(0 in row for row in rows)
