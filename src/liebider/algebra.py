@@ -6,7 +6,12 @@ checks the unit law and then associativity on every basis triple, so anything
 that survives the constructor really is an associative unital algebra.  The
 associativity check runs on an integer copy of the sparse table and visits
 only the nonzero products, so its cost grows with the number of nonzero
-(b_i b_j) b_l and b_i (b_j b_l) terms, not with dim**3.
+(b_i b_j) b_l and b_i (b_j b_l) terms, not with dim**3.  The table, the
+unit and every Element coordinate hold their values as linalg.exact
+stores them: an int when the value is integral, as every constructor's
+table is, and a Fraction only when it is not.  So the checks, the
+derived tables and Element arithmetic run in ints wherever the values
+allow it.
 
 This module is also the structure-table layer that the solver, the
 decomposition and the checks share.  The product table {(i, j): {k: c}} is
@@ -41,10 +46,9 @@ of its own, built once per side, so its tables and center sit in its own
 _cache and last as long as the triangular algebra does.
 """
 
-from fractions import Fraction
 from math import lcm
 
-from .linalg import RowReducer, nullspace_from_reducer, reduce_rows
+from .linalg import RowReducer, exact, nullspace_from_reducer, reduce_rows
 
 
 class MixedAlgebras(Exception):
@@ -72,13 +76,13 @@ class FiniteAlgebra:
             if (i, j, k) in seen:
                 raise ValueError(f"duplicate structure constant at ({i},{j},{k})")
             seen.add((i, j, k))
-            v = Fraction(v)
+            v = exact(v)
             if v:
                 prod.setdefault((i, j), {})[k] = v
         self._prod = prod
         if len(unit) != dim:
             raise ValueError("unit length mismatch")
-        self.unit = tuple(Fraction(u) for u in unit)
+        self.unit = tuple(exact(u) for u in unit)
         self._cache = {}
         self._validate()
 
@@ -92,7 +96,7 @@ class FiniteAlgebra:
         for i in range(dim):
             left = _combine([(u, self._mul_basis(j, i)) for j, u in support])
             right = _combine([(u, self._mul_basis(i, j)) for j, u in support])
-            want = {i: Fraction(1)}
+            want = {i: 1}
             if left != want:
                 raise ValueError(f"unit fails on the left at basis {i}")
             if right != want:
@@ -137,12 +141,12 @@ class FiniteAlgebra:
         return Element(self, coords)
 
     def basis_element(self, i):
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
+        coords = [0] * self.dim
+        coords[i] = 1
         return Element(self, coords)
 
     def zero(self):
-        return Element(self, [Fraction(0)] * self.dim)
+        return Element(self, [0] * self.dim)
 
     def unit_element(self):
         return Element(self, self.unit)
@@ -155,7 +159,8 @@ class FiniteAlgebra:
 
 
 class Element:
-    """An algebra element as a coordinate vector over the basis."""
+    """An algebra element as a coordinate vector over the basis, each
+    coordinate stored by linalg.exact: an int when it is integral."""
 
     __slots__ = ("algebra", "coords")
 
@@ -163,7 +168,9 @@ class Element:
         if len(coords) != algebra.dim:
             raise ValueError("coordinate length mismatch")
         self.algebra = algebra
-        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        # the int test inline: nearly every coordinate is one, and this is
+        # the hottest constructor
+        self.coords = tuple(c if type(c) is int else exact(c) for c in coords)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -184,7 +191,7 @@ class Element:
         return Element(self.algebra, [-a for a in self.coords])
 
     def scale(self, s):
-        s = Fraction(s)
+        s = exact(s)
         return Element(self.algebra, [s * a for a in self.coords])
 
     __rmul__ = scale
@@ -215,7 +222,7 @@ def multiply(x, y):
     """Product x·y via the structure tensor."""
     x._check(y)
     alg = x.algebra
-    out = [Fraction(0)] * alg.dim
+    out = [0] * alg.dim
     for i, xi in enumerate(x.coords):
         if xi == 0:
             continue
@@ -237,7 +244,7 @@ def _combine(terms):
     """sum of c*row over (c, row) pairs of sparse rows, zeros dropped.
 
     A value with coefficient 1 that meets no other term is stored as it
-    is: Fractions are immutable, so the result may share it."""
+    is: values are immutable, so the result may share it."""
     out = {}
     for c, row in terms:
         for k, v in row.items():
@@ -255,7 +262,7 @@ def _cached(alg, key, build):
 
 
 def _integer_table(tab):
-    """A {key: {k: Fraction}} table times the lcm of its denominators, as
+    """A {key: {k: value}} table times the lcm of its denominators, as
     {key: {k: int}}."""
     den = lcm(*(v.denominator for row in tab.values() for v in row.values()))
     return {key: {k: v.numerator * (den // v.denominator) for k, v in row.items()}

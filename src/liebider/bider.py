@@ -13,23 +13,24 @@ both routes agree exactly.  Both read the algebra's cached structure tables
 echelon rows of the derivation system and their column index.  solve_space
 reads the kernels of that system and of the two-sided slice system off
 their echelon rows as integer vectors, through linalg.integer_kernel, so
-everything stays in ints until each map is divided by its trailing entry,
-the one step that makes Fractions.  A one-sided law's maps are shifted
-copies of the derivation basis, so each derivation is divided by its
-trailing entry once and then shifted to every fixed index.  The
-two-sided slice system goes through linalg.reduce_rows, which reduces
-no row of a component of columns that is already full.
+everything stays in ints until each map is divided by its trailing entry.
+That division is linalg.exact's, as is every coefficient a BilinearMap
+stores: an int where the trailing entry divides the value, which it
+nearly always does, and a Fraction only where it does not.  A one-sided
+law's maps are shifted copies of the derivation basis, so each
+derivation is divided by its trailing entry once and then shifted to
+every fixed index.  The two-sided slice system goes through
+linalg.reduce_rows, which reduces no row of a component of columns that
+is already full.
 lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
 basis quadruple on the bracket table; lemma31_residual is the
 Element-arithmetic reference it is tested against.
 """
 
 import enum
-from fractions import Fraction
-
 from .algebra import (Element, _brackets, _combine, _derivation_columns, _derivations,
                       _factor_index, _identity_rows, _table, lie_bracket, multiply)
-from .linalg import SparseMatrix, integer_kernel, reduce_rows
+from .linalg import SparseMatrix, exact, integer_kernel, reduce_rows
 
 
 class NotCentral(Exception):
@@ -65,7 +66,8 @@ class BilinearMap:
 
     The nonzero coefficients live in one dict keyed by the flat tensor
     index (i*dim + j)*dim + k, the order flat() uses; _rows() groups them
-    by basis pair for code that works slice by slice.
+    by basis pair for code that works slice by slice.  Each is stored by
+    linalg.exact: an int when it is integral, else a Fraction.
     """
 
     __slots__ = ("algebra", "_flat")
@@ -78,9 +80,8 @@ class BilinearMap:
         for (i, j, k), v in items:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"coefficient index ({i},{j},{k}) out of range")
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            if v == 0:
+            v = exact(v)
+            if not v:
                 continue
             store[(i * dim + j) * dim + k] = v
         self._flat = store
@@ -89,19 +90,20 @@ class BilinearMap:
     def from_flat(cls, algebra, vec):
         if len(vec) != algebra.dim ** 3:
             raise ValueError("flat vector length mismatch")
-        flat = {f: Fraction(v) for f, v in enumerate(vec) if v}
+        flat = {f: exact(v) for f, v in enumerate(vec) if v}
         return cls._of(algebra, {f: v for f, v in flat.items() if v})
 
     @classmethod
     def _of(cls, algebra, flat):
-        """Wrap a {flat index: nonzero Fraction} dict as is, without checks."""
+        """Wrap a {flat index: nonzero exact() value} dict as is, without
+        checks."""
         phi = cls.__new__(cls)
         phi.algebra = algebra
         phi._flat = flat
         return phi
 
     def flat(self):
-        vec = [Fraction(0)] * self.algebra.dim ** 3
+        vec = [0] * self.algebra.dim ** 3
         for f, v in self._flat.items():
             vec[f] = v
         return tuple(vec)
@@ -128,8 +130,7 @@ class BilinearMap:
         """φ(b_i, b_j) as an Element."""
         dim = self.algebra.dim
         base = (i * dim + j) * dim
-        zero = Fraction(0)
-        return Element(self.algebra, [self._flat.get(base + k, zero) for k in range(dim)])
+        return Element(self.algebra, [self._flat.get(base + k, 0) for k in range(dim)])
 
     def __call__(self, x, y):
         """Evaluate φ(x, y) by bilinear extension."""
@@ -137,7 +138,7 @@ class BilinearMap:
             raise ValueError("arguments from a different algebra")
         dim = self.algebra.dim
         xc, yc = x.coords, y.coords
-        out = [Fraction(0)] * dim
+        out = [0] * dim
         for f, v in self._flat.items():
             ij, k = divmod(f, dim)
             i, j = divmod(ij, dim)
@@ -154,14 +155,14 @@ class BilinearMap:
         out = dict(self._flat)
         for f, v in other._flat.items():
             out[f] = out.get(f, 0) + v
-        return BilinearMap._of(self.algebra, {f: v for f, v in out.items() if v})
+        return BilinearMap._of(self.algebra, {f: exact(v) for f, v in out.items() if v})
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, s):
-        s = Fraction(s)
-        return BilinearMap._of(self.algebra, {f: s * v for f, v in self._flat.items()} if s else {})
+        s = exact(s)
+        return BilinearMap._of(self.algebra, {f: exact(s * v) for f, v in self._flat.items()} if s else {})
 
     def __eq__(self, other):
         return (isinstance(other, BilinearMap) and self.algebra is other.algebra
@@ -227,8 +228,8 @@ def solve_space(alg, law):
     order for a fixed l.  So each map, divided by its last entry, is a
     canonical kernel vector of nullspace(constraint_matrix(alg, law)), and
     sorting by last column orders them (only lie-deriv-1, whose l is the
-    middle index, interleaves).  Maps are sparse {flat index: Fraction}
-    dicts in ascending index order.
+    middle index, interleaves).  Maps are sparse {flat index: value} dicts
+    in ascending index order, each value divided by exact().
     """
     dim = alg.dim
     zero, rows = _derivations(alg, law.lie)
@@ -246,14 +247,13 @@ def solve_space(alg, law):
     if first != second:
         # the kernel is every unit vector (l, s), and its map is D_s
         # shifted by l·l_step: each D_s is divided by m_s once
-        normed = [(d[-1][0], [(off, Fraction(v, d[-1][1])) for off, v in d]) for d in placed]
+        normed = [(d[-1][0], [(off, exact(v, d[-1][1])) for off, v in d]) for d in placed]
         maps = [(base + last, {base + off: q for off, q in d})
                 for base in range(0, dim * l_step, l_step) for last, d in normed]
     else:
         red = reduce_rows(_slice_rows(_derivation_columns(alg, law.lie), zero, derivs, dim),
                           dim * nd)
         maps = []
-        quotients = {}  # (v, m) -> Fraction(v, m): the maps share few distinct values
         for x in integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim * nd):
             vec = {}
             for col, c in x.items():
@@ -264,8 +264,7 @@ def solve_space(alg, law):
                     vec[f] = vec[f] + c * v if f in vec else c * v
             last = max(vec)
             m = vec[last]
-            maps.append((last, {f: quotients.get((v, m)) or quotients.setdefault((v, m), Fraction(v, m))
-                                for f, v in sorted(vec.items()) if v}))
+            maps.append((last, {f: exact(v, m) for f, v in sorted(vec.items()) if v}))
     maps.sort(key=lambda pair: pair[0])
     return [BilinearMap._of(alg, vec) for _, vec in maps]
 
@@ -341,8 +340,8 @@ def make_central(t, g, h, z):
     alg = t.alg
     if len(g) != alg.dim or len(h) != alg.dim:
         raise ValueError("functional length mismatch")
-    g = tuple(Fraction(c) for c in g)
-    h = tuple(Fraction(c) for c in h)
+    g = tuple(exact(c) for c in g)
+    h = tuple(exact(c) for c in h)
     if not t.is_central(z):
         raise NotCentral("z is not in the center")
     for i in range(alg.dim):

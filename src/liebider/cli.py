@@ -7,7 +7,6 @@ byte-comparable.  Exit codes: 0 success, 2 input error, 3 decomposition
 failure, 4 verification failure.
 """
 
-from fractions import Fraction
 import argparse
 import functools
 import json
@@ -29,11 +28,11 @@ LAW_CHOICES = [law.value for law in MapLaw]
 
 
 def _coords_text(coords):
-    return " ".join(str(Fraction(c)) for c in coords)
+    return " ".join(map(str, coords))
 
 
 def _coords_pairs(coords):
-    return [[Fraction(c).numerator, Fraction(c).denominator] for c in coords]
+    return [[c.numerator, c.denominator] for c in coords]
 
 
 def _print_report(fmt, headers, lines, doc):

@@ -15,7 +15,7 @@ structural identities on the Peirce components that any such map must
 satisfy, solving for the scalar alpha0 once and testing every basis pair.
 
 decompose(), verify_decomposition() and the law witness work on sparse
-{coordinate: Fraction} rows, never on dense Elements, and visit only the
+{coordinate: value} rows, never on dense Elements, and visit only the
 terms that can be nonzero: each map pays for its own terms, on tables
 built once per algebra.  The law test and the extraction read the
 algebra's structure tables (see algebra.py): the bracket table
@@ -41,7 +41,12 @@ linear in the support of r and lambda0, and mu is formed at the pairs
 where the residual or, for a nonzero lambda0, the bracket is nonzero.
 mu values, and lambda0 in verify_decomposition(), are tested for
 centrality on their sparse rows; an Element is built only for a
-ResidualNotCentral witness.
+ResidualNotCentral witness.  Every value here is held as linalg.exact
+stores it, mu's coefficients included: an int when it is integral, a
+Fraction only when it is not.  The constructors' tables and nearly every
+solved map are integral, so the law test, the extraction, the
+re-verification and lemma_suite() run in int arithmetic there, and a
+table or map with denominators takes the same code with Fractions.
 verify_decomposition() reads the brackets as signed rows of the product
 table itself, indexed once per algebra by a function of its own
 (_verify_brackets) under a cache key of its own, so it shares no cached
@@ -56,12 +61,12 @@ proof, the suite tests both candidate signs and records which one holds,
 instead of silently picking a side.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .algebra import (Element, _brackets, _cached, _combine, _derivation_columns, _derivations,
                       lie_bracket, multiply)
 from .bider import BilinearMap
+from .linalg import exact
 from .triangular import NotInProjection, _central_solution, _central_system, tau_inv
 
 
@@ -111,8 +116,7 @@ class Decomposition:
 
 
 def _element(alg, row):
-    zero = Fraction(0)  # one object for every zero coordinate
-    return Element(alg, [row.get(k, zero) for k in range(alg.dim)])
+    return Element(alg, [row.get(k, 0) for k in range(alg.dim)])
 
 
 def _lambda_system(t):
@@ -331,7 +335,7 @@ def decompose(t, phi):
         if not central.contains(val):
             raise ResidualNotCentral((i, j, _element(alg, val)))
         base = (i * dim + j) * dim
-        flat.update((base + k, v) for k, v in val.items())
+        flat.update((base + k, exact(v)) for k, v in val.items())
         mu_rows[key] = val
     mu = BilinearMap._of(alg, flat)
 
@@ -516,7 +520,7 @@ def lemma_suite(t, phi):
     wit = None
     for other, sign, tag in ((c_fe, -1, ("f", "e")), (c_ef, -1, ("e", "f")),
                              (c_ff, 1, ("f", "f"))):
-        diff = c_ee - other.scale(Fraction(sign))
+        diff = c_ee - other.scale(sign)
         if not diff.is_zero():
             wit = {"basis": ("e", "e") + tag, "residual": diff}
             break

@@ -2,7 +2,7 @@
 
 Everything downstream (center computation, constraint solving, the
 decomposition) reduces to computing reduced row echelon forms, nullspace
-bases, and canonical solutions of sparse linear systems with Fraction
+bases, and canonical solutions of sparse linear systems with rational
 entries.  The elimination engine keeps rows as gcd-normalized integer
 dictionaries and maintains a fully inter-reduced pivot set, so adding a row
 costs one elimination pass and the final form is the unique RREF.
@@ -10,12 +10,35 @@ reduce_rows feeds a whole system to one such reducer and passes over
 every row whose connected component of columns already has a pivot in
 each of its columns: that row is dependent, so the reducer ends as
 feeding every row would leave it.  One reader, integer_kernel, reads
-every kernel off such a form; nullspace_from_reducer is its Fraction
-view.  No floating point anywhere.
+every kernel off such a form; nullspace_from_reducer is its rational
+view.
+
+Every value the library stores, here and in the other modules, follows
+one rule, exact(): an int when it is integral, a Fraction only when it
+is not.  Both are numbers.Rational and compare, hash and print alike, so
+the rule changes no result and no printed byte, while the integral
+values, nearly all of them, stay in int arithmetic.  No floating point
+anywhere: the library has no true division, so an int never turns into
+a float.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def exact(value, den=1):
+    """value / den as the library stores it: an int when the quotient is
+    integral, else a Fraction in lowest terms.  value is anything
+    Fraction() accepts (an int, a Fraction, a float, a string) and den a
+    nonzero int; the result is never a float or a bool."""
+    if type(value) is int:
+        if den == 1:
+            return value
+    else:
+        value = Fraction(value)
+        value, den = value.numerator, value.denominator * den
+    q, r = divmod(value, den)
+    return q if not r else Fraction(value, den)
 
 
 class Inconsistent(Exception):
@@ -46,8 +69,8 @@ class SparseMatrix:
             if (r, c) in seen:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             seen.add((r, c))
-            v = Fraction(v)
-            if v != 0:
+            v = exact(v)
+            if v:
                 norm.append((r, c, v))
         norm.sort(key=lambda e: (e[0], e[1]))
         self.rows = rows
@@ -55,7 +78,7 @@ class SparseMatrix:
         self.entries = tuple(norm)
 
     def row_dicts(self):
-        """Rows as {col: Fraction} dicts, empty rows included."""
+        """Rows as {col: value} dicts, empty rows included."""
         out = [dict() for _ in range(self.rows)]
         for (r, c, v) in self.entries:
             out[r][c] = v
@@ -210,13 +233,13 @@ class RowReducer:
         return len(self.pivrows)
 
     def echelon_rows(self):
-        """Final RREF rows as {col: Fraction} with pivot 1, sorted by pivot col."""
+        """Final RREF rows as {col: value} with pivot 1, sorted by pivot col."""
         order = sorted(range(len(self.pivrows)), key=lambda i: self.pivcols[i])
         out = []
         for i in order:
             row = self.pivrows[i]
             pv = row[self.pivcols[i]]
-            out.append({c: Fraction(v, pv) for c, v in row.items()})
+            out.append({c: exact(v, pv) for c, v in row.items()})
         return out
 
     def sorted_pivcols(self):
@@ -293,7 +316,7 @@ def nullspace(m):
 
     One vector per free column, in ascending free-column order: the free
     variable is set to 1, the other free variables to 0, and the pivot
-    variables back-solved.  Returns tuples of Fractions.
+    variables back-solved.  Returns tuples of exact() values.
     """
     red = _reduce_matrix(m)
     return nullspace_from_reducer(red, m.cols)
@@ -306,9 +329,9 @@ def nullspace_from_reducer(red, ncols):
     basis = []
     for vec in integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), ncols):
         m = vec[max(vec)]
-        v = [Fraction(0)] * ncols
+        v = [0] * ncols
         for c, x in vec.items():
-            v[c] = Fraction(x, m)
+            v[c] = exact(x, m)
         basis.append(tuple(v))
     return basis
 
@@ -350,16 +373,16 @@ def solve(m, rhs):
     rows = m.row_dicts()
     for i, row in enumerate(rows):
         if rhs[i]:
-            row[aug] = Fraction(rhs[i])
+            row[aug] = exact(rhs[i])
         if row:
             red.add_fraction_row(row)
     pivs = red.sorted_pivcols()
     rows_out = red.echelon_rows()
-    x = [Fraction(0)] * m.cols
+    x = [0] * m.cols
     for idx, (p, row) in enumerate(zip(pivs, rows_out)):
         if p == aug:
             raise Inconsistent(idx)
-        x[p] = row.get(aug, Fraction(0))
+        x[p] = row.get(aug, 0)
     return tuple(x)
 
 
@@ -388,7 +411,7 @@ class SpanChecker:
 def _sparse(vec):
     """A vector as a {col: value} dict: a dict as it is, a coordinate
     sequence by its nonzero entries."""
-    return vec if isinstance(vec, dict) else {c: Fraction(v) for c, v in enumerate(vec) if v}
+    return vec if isinstance(vec, dict) else {c: exact(v) for c, v in enumerate(vec) if v}
 
 
 def canonical_basis(rows, ncols):
@@ -398,7 +421,7 @@ def canonical_basis(rows, ncols):
     are (an int is its own numerator).  The output is the unique basis of their
     span in which each vector has trailing coordinate 1 at a distinct
     column, zeros at the other vectors' trailing columns, and the list is
-    sorted by trailing column; each vector is a {col: Fraction} dict of its
+    sorted by trailing column; each vector is a {col: value} dict of its
     nonzero entries in ascending column order.  For the kernel of any matrix
     this is what nullspace() returns, so a solver may produce a kernel basis
     by any route and canonicalize here.  RREF under reversed column order.

@@ -12,12 +12,12 @@ coefficient tensor is meaningless under any other basis ordering and a
 silent mismatch is the likeliest user error.
 """
 
-from fractions import Fraction
 import hashlib
 import json
 
 from .algebra import Element, FiniteAlgebra
 from .bider import BilinearMap
+from .linalg import exact
 from .triangular import Disconnected, Poset, TriangularAlgebra
 
 ALGEBRA_SCHEMA = 1
@@ -33,7 +33,6 @@ class FingerprintMismatch(Exception):
 
 
 def _pair(v):
-    v = Fraction(v)
     return [v.numerator, v.denominator]
 
 
@@ -48,7 +47,7 @@ def _unpair(obj, what):
         raise SchemaError(f"{what}: expected an [num, den] integer pair")
     if obj[1] == 0:
         raise SchemaError(f"{what}: zero denominator")
-    return Fraction(obj[0], obj[1])
+    return exact(obj[0], obj[1])
 
 
 def canonical_json(doc):

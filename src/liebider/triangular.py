@@ -11,7 +11,6 @@ matrix units at a set of positions closed under composition, split by a sum
 of diagonal units, and built by one matrix-unit builder.
 """
 
-from fractions import Fraction
 import random
 
 from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine, _generators,
@@ -176,7 +175,7 @@ class TriangularAlgebra:
     # -- Peirce structure ------------------------------------------------
 
     def _restrict(self, x, indices):
-        coords = [Fraction(0)] * self.alg.dim
+        coords = [0] * self.alg.dim
         for i in indices:
             coords[i] = x.coords[i]
         return Element(self.alg, coords)
@@ -211,9 +210,9 @@ class TriangularAlgebra:
         """
         if self.diag_indices is None:
             raise ValueError("no diagonal data recorded for this algebra")
-        g = [Fraction(0)] * self.alg.dim
+        g = [0] * self.alg.dim
         for i in self.diag_indices:
-            g[i] = Fraction(1)
+            g[i] = 1
         return tuple(g)
 
 
@@ -467,9 +466,9 @@ def hypothesis_report(t):
         found = None
         probes = 32
         for _ in range(probes):
-            coeffs = [Fraction(0)] * len(za)
+            coeffs = [0] * len(za)
             while all(c == 0 for c in coeffs):
-                coeffs = [Fraction(rnd.randint(-9, 9)) for _ in za]
+                coeffs = [rnd.randint(-9, 9) for _ in za]
             alpha = corner_a.zero()
             for c, z in zip(coeffs, za):
                 alpha = alpha + z.scale(c)
@@ -524,16 +523,16 @@ def _matrix_units(positions, labels, points, split):
     e = Σ_{p in split} E_pp, and the diagonal indices follow points.
     """
     index = {pq: i for i, pq in enumerate(positions)}
-    structure = {(i, j, index[(p, s)]): Fraction(1)
+    structure = {(i, j, index[(p, s)]): 1
                  for i, (p, q) in enumerate(positions)
                  for j, (r, s) in enumerate(positions) if q == r}
     diag = [index[(p, p)] for p in points]
-    unit = [Fraction(0)] * len(positions)
-    e = [Fraction(0)] * len(positions)
+    unit = [0] * len(positions)
+    e = [0] * len(positions)
     for i in diag:
-        unit[i] = Fraction(1)
+        unit[i] = 1
     for p in split:
-        e[index[(p, p)]] = Fraction(1)
+        e[index[(p, p)]] = 1
     alg = FiniteAlgebra(len(positions), labels, structure, unit)
     return TriangularAlgebra(alg, Element(alg, e), diag_indices=diag)
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dense_oracle
+import exact_reference
 from matrix_helpers import mul_vector
 from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
                       NotCentral, NotLieBider, NotVanishing, Poset,
@@ -304,6 +305,8 @@ LARGER_ALGEBRAS = {
     "t5k2": lambda: upper_triangular(5, 2),
     "block221": lambda: block_upper_triangular([2, 2, 1], 1),
     "t6k3": lambda: upper_triangular(6, 3),
+    # a table with denominators: some coefficients stay Fractions
+    "t5k2_rescaled": exact_reference.rescaled_t5,
 }
 
 
@@ -315,7 +318,9 @@ def test_solver_matches_spanning_route(name):
         space = solve_space(alg, law)
         assert [list(phi._flat.items()) for phi in space] == [
             list(vec.items()) for vec in spanning_route(alg, law)]
-        assert all(type(v) is Fraction for phi in space for v in phi._flat.values())
+        # linalg.exact's rule: an int, or a Fraction that is not integral
+        assert all(type(v) is int or type(v) is Fraction and v.denominator > 1
+                   for phi in space for v in phi._flat.values())
 
 
 def t3_mixed(x, y):
