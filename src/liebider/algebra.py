@@ -20,9 +20,13 @@ for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
 integer echelon form of the single-argument derivation system of each law
 kind (_derivations, built once per kind, from an integer copy of the table),
 each kind's echelon rows indexed by column (_derivation_columns, read by
-the solver's two-sided slice system and by the law test), the center's
-coordinates and, for decomp.py, the bracket table by right factor and
-verify_decomposition's own index of the products.  The derivation
+the solver's two-sided slice system), the center's coordinates and, for
+decomp.py, the bracket table by right factor, verify_decomposition's own
+index of the products, and the echelon rows of the standard span S of
+Lie derivations (ad(T) plus the central maps) with their column index
+(_standard and _standard_columns, read by the law test), read off the
+product table and the center with no identity rows to solve.  One
+helper, _column_index, indexes both systems.  The derivation
 identity is fed only at the pairs that meet a generating set G, read off
 the table's one-term products (_generators): the x at which a map obeys
 the identity against every y form a subalgebra (by associativity, or by
@@ -48,7 +52,8 @@ _cache and last as long as the triangular algebra does.
 
 from math import lcm
 
-from .linalg import RowReducer, exact, nullspace_from_reducer, reduce_rows
+from .linalg import (RowReducer, annihilator, exact, integer_kernel, nullspace_from_reducer,
+                     reduce_rows)
 
 
 class MixedAlgebras(Exception):
@@ -390,10 +395,21 @@ def _derivation_system(alg, lie):
     red = reduce_rows((row for a in range(dim) for c in range(a + 1 if lie else 0, dim)
                        if a in gens or lie and c in gens
                        for _, row in _identity_rows(tab, index, dim, a, c)), dim * dim)
-    rows = [tuple(zip(*sorted(row.items()))) for row in red.pivrows]
-    zero = {cols[0] for cols, _ in rows if len(cols) == 1}
-    return (bytes(c in zero for c in range(dim * dim)),
-            tuple(sorted(row for row in rows if len(row[0]) > 1)))
+    return _echelon_system(red.pivrows, dim * dim)
+
+
+def _echelon_system(rows, ncols):
+    """(zero, rows) as _derivation_system returns them, from gcd-normalized
+    integer echelon rows {col: int} in any order."""
+    zero = bytearray(ncols)
+    out = []
+    for row in rows:
+        if len(row) == 1:
+            for col in row:
+                zero[col] = 1
+        else:
+            out.append(tuple(zip(*sorted(row.items()))))
+    return bytes(zero), tuple(sorted(out))
 
 
 def _derivations(alg, lie):
@@ -401,20 +417,74 @@ def _derivations(alg, lie):
     return _cached(alg, ("derivations", lie), lambda a: _derivation_system(a, lie))
 
 
+def _column_index(rows):
+    """The (columns, values) rows of a system by column: {col: ((pivot,
+    value), ...)} over the columns that some row meets, each row named by
+    its pivot column, so a sparse vector's products with every row are
+    summed from its own support only.  The zero columns are not listed;
+    they are read from the zero bytes."""
+    out = {}
+    for cols, vals in rows:
+        for col, v in zip(cols, vals):
+            out.setdefault(col, []).append((cols[0], v))
+    return {col: tuple(hits) for col, hits in out.items()}
+
+
 def _derivation_columns(alg, lie):
-    """The rows of _derivations(alg, lie) by column, built once per
-    algebra and law kind: {col: ((pivot, value), ...)} over the columns
-    that some row meets, each row named by its pivot column, so a sparse
-    vector's products with every row are summed from its own support
-    only.  The zero columns are not listed; they are read from the zero
-    bytes."""
-    def index(alg):
-        out = {}
-        for cols, vals in _derivations(alg, lie)[1]:
-            for col, v in zip(cols, vals):
-                out.setdefault(col, []).append((cols[0], v))
-        return {col: tuple(hits) for col, hits in out.items()}
-    return _cached(alg, ("derivation columns", lie), index)
+    """_column_index of the rows of _derivations(alg, lie), built once per
+    algebra and law kind."""
+    return _cached(alg, ("derivation columns", lie),
+                   lambda a: _column_index(_derivations(a, lie)[1]))
+
+
+def _standard_system(alg):
+    """The conditions that vanish on the standard span S of Lie
+    derivations, in _derivation_system's (zero, rows) format.
+
+    S is ad(T) + {x -> f(x)*z : z central, f vanishing on [T, T]}.  Every
+    element of S is a Lie derivation, so S lies in the Lie derivation
+    space W; the two are equal wherever every Lie derivation is a
+    derivation plus a central map and every derivation is inner, and the
+    rows are then those of _derivations(alg, True), tuple for tuple (the
+    unique reduced echelon form, each row scaled alike).  ad(b_x) is read
+    off the product table as b_x*b_a - b_a*b_x at column a*dim + k, not off
+    the cached bracket table; the f come from one reducer over the
+    brackets [b_x, b_a], x < a, and z from the center cache.  The table is
+    scaled to integers by the lcm of its denominators, which leaves every
+    span as it is, and each z by the lcm of its own.  The conditions are
+    linalg.annihilator of these vectors."""
+    dim = alg.dim
+    brackets = {}  # (x, a) with x < a -> [b_x, b_a], from both products
+    for (i, j), row in _integer_table(alg._prod).items():
+        if i != j:
+            key, s = ((i, j), 1) if i < j else ((j, i), -1)
+            acc = brackets.setdefault(key, {})
+            for k, v in row.items():
+                acc[k] = acc.get(k, 0) + s * v
+    span = [{} for _ in range(dim)]  # ad(b_x)
+    for (x, a), row in brackets.items():
+        for k, v in row.items():
+            if v:
+                span[x][a * dim + k] = v
+                span[a][x * dim + k] = -v
+    red = reduce_rows(({k: v for k, v in row.items() if v} for row in brackets.values()), dim)
+    functionals = integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim)
+    for z in _cached(alg, "center", _center_coords):
+        den = lcm(*(c.denominator for c in z))
+        z = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(z) if c]
+        span.extend({a * dim + k: v * c for a, v in f.items() for k, c in z} for f in functionals)
+    return _echelon_system(annihilator(span, dim * dim), dim * dim)
+
+
+def _standard(alg):
+    """_standard_system(alg), built once per algebra."""
+    return _cached(alg, "standard span", _standard_system)
+
+
+def _standard_columns(alg):
+    """_column_index of the rows of _standard(alg), built once per
+    algebra."""
+    return _cached(alg, "standard columns", lambda a: _column_index(_standard(a)[1]))
 
 
 def center_basis(alg):

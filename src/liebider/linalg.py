@@ -345,6 +345,31 @@ def integer_kernel(rows, pivots, ncols):
     each pivot p, all times the lcm m of those row[p].  Each such p is
     below f, so m at f is the last nonzero entry.
     """
+    return _kernel(rows, pivots, ncols, range(ncols))
+
+
+def annihilator(rows, ncols):
+    """The echelon rows of the annihilator of the span of rows, the dual
+    of integer_kernel.
+
+    rows are {col: int} vectors.  Returns the {col: int} rows r with
+    r.s = 0 for every s in the span, as gcd-normalized integer multiples
+    of its unique reduced echelon form, pivot (the least column) positive,
+    in descending pivot order.  The span is reduced in reversed column
+    order, where the annihilator is the kernel of its echelon form:
+    integer_kernel's vectors there, each with its last entry, m > 0, at
+    its free column, are its rows once the columns are turned back, and
+    that entry is then the pivot.
+    """
+    last = ncols - 1
+    red = reduce_rows(({last - c: v for c, v in row.items()} for row in rows), ncols)
+    return [_normalize(vec) if len(vec) > 1 else vec
+            for vec in _kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), ncols,
+                               range(last, -1, -1))]
+
+
+def _kernel(rows, pivots, ncols, names):
+    """integer_kernel's vectors with each column c named names[c]."""
     solved = {}  # free column f -> [(pivot p, -row[f], row[p])]
     for p, row in rows:
         pv = row[p]
@@ -354,9 +379,12 @@ def integer_kernel(rows, pivots, ncols):
     kernel = []
     for f in range(ncols):
         if f not in pivots:
-            entries = solved.get(f, [])
+            entries = solved.get(f)
+            if entries is None:
+                kernel.append({names[f]: 1})
+                continue
             m = lcm(*(pv for _, _, pv in entries))
-            kernel.append({p: v * (m // pv) for p, v, pv in entries} | {f: m})
+            kernel.append({names[p]: v * (m // pv) for p, v, pv in entries} | {names[f]: m})
     return kernel
 
 

@@ -93,6 +93,12 @@ def algebra_from_doc(doc):
     # reports could not print
     if any(0xD800 <= ord(ch) <= 0xDFFF for x in labels for ch in x):
         raise SchemaError("basis_labels must not hold lone surrogates")
+    # text reports join labels with spaces, so a witness must name each
+    # basis element by one nonempty word of its own
+    if any(not x or any(ch.isspace() for ch in x) for x in labels):
+        raise SchemaError("basis_labels must be nonempty and hold no whitespace")
+    if len(set(labels)) != dim:
+        raise SchemaError("basis_labels must be distinct")
     structure = doc.get("structure")
     if not isinstance(structure, list):
         raise SchemaError("structure must be a list")

@@ -14,7 +14,7 @@ from matrix_helpers import mul_vector
 from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
                       NotCentral, NotLieBider, NotVanishing, Poset,
                       ResidualNotCentral, SpanChecker, TriangularAlgebra,
-                      block_upper_triangular,
+                      block_upper_triangular, center_basis,
                       constraint_matrix, decompose, hypothesis_report,
                       incidence_algebra, law_residual, lemma31_residual,
                       lie_bracket, make_central, make_extremal, make_inner,
@@ -349,7 +349,17 @@ DERIVATION_ALGEBRAS = dict(
     block31=lambda: block_upper_triangular([3, 1], 1).alg,
     t3_e11_plus_e12=lambda: t3_mixed(0, 1),
     # E12·E23 = E13 is (E13 + E11) - E11, two terms on this basis
-    t3_e13_plus_e11=lambda: t3_mixed(2, 0))
+    t3_e13_plus_e11=lambda: t3_mixed(2, 0),
+    # the 4-cycle poset 1<3, 1<4, 2<3, 2<4: its order complex is a circle,
+    # which gives it one outer derivation
+    crown=lambda: incidence_algebra(Poset(4, [(1, 3), (1, 4), (2, 3), (2, 4)]), [1, 2]).alg)
+
+
+def solution_dim(system, dim):
+    """The dimension of the space a (zero, rows) echelon system cuts out of
+    the dim*dim coordinates of a linear map."""
+    zero, rows = system
+    return dim * dim - sum(zero) - len(rows)
 
 
 @pytest.mark.parametrize("lie", [False, True], ids=["product", "bracket"])
@@ -358,8 +368,21 @@ def test_derivation_system_matches_dense_reference(name, lie):
     # the reference reduces every (a, c) pair, both orders and a == c
     # included, from Element arithmetic
     alg = DERIVATION_ALGEBRAS[name]()
-    assert (algebra_module._derivation_system(alg, lie)
-            == dense_oracle.derivation_echelon(alg, lie))
+    system = algebra_module._derivation_system(alg, lie)
+    assert system == dense_oracle.derivation_echelon(alg, lie)
+    # the standard span ad(T) + central maps, which decompose's law test
+    # reads, is every Lie derivation except on the crown, where the outer
+    # derivation adds one dimension: dim Der = dim T - dim Z + 1 there
+    dim = alg.dim
+    outer = name == "crown"
+    if lie:
+        standard = algebra_module._standard_system(alg)
+        if outer:
+            assert solution_dim(system, dim) - solution_dim(standard, dim) == 1
+        else:
+            assert standard == algebra_module._derivations(alg, True)
+    elif outer:
+        assert solution_dim(system, dim) == dim - len(center_basis(alg)) + 1
 
 
 @pytest.mark.parametrize("lie", [False, True], ids=["product", "bracket"])
@@ -547,6 +570,24 @@ def test_lie_derivation_system_built_once(monkeypatch):
     solve_space(t.alg, MapLaw.ASSOC_BIDER)
     solve_space(t.alg, MapLaw.ASSOC_BIDER)
     assert calls == [True, False]
+
+
+def test_decompose_builds_no_derivation_system(monkeypatch):
+    # decompose's law test reads the standard span, built from the product
+    # table and the center; the Lie derivation system is solve_space's
+    t = upper_triangular(3, 2)
+    maps = solve_space(t.alg, MapLaw.LIE_BIDER)
+    for key in (("derivations", True), ("derivation columns", True)):
+        del t.alg._cache[key]
+
+    def refuse(alg, lie):
+        raise AssertionError("the derivation system was built")
+
+    monkeypatch.setattr(algebra_module, "_derivation_system", refuse)
+    for phi in maps:
+        decompose(t, phi)
+    with pytest.raises(NotLieBider):
+        decompose(t, maps[0] + BilinearMap(t.alg, {(0, 1, 1): 1}))
 
 
 @pytest.mark.parametrize("n,k,whole", [(2, 1, True), (3, 2, True), (4, 2, False)],

@@ -343,6 +343,25 @@ def test_lone_surrogate_label_is_input_error(tmp_path, capsys, t2):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("labels,message", [
+    (["x"] * 6, "distinct"),
+    (["E11", "E12", "", "E22", "E23", "E33"], "nonempty"),
+    (["E11", "a b", "E13", "E22", "E23", "E33"], "whitespace"),
+], ids=["repeated", "empty", "space"])
+def test_ambiguous_labels_are_input_errors(tmp_path, capsys, t3, labels, message):
+    # text reports join labels with spaces (witness_triple:, labels:), so a
+    # witness would not name one basis element per word
+    doc = algebra_to_doc(t3.alg, t3.e)
+    doc["basis_labels"] = labels
+    path = write_json(tmp_path / "labels.json", doc)
+    for command in ("verify", "hypotheses", "center"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2, command
+        assert out == []
+        assert "SchemaError" in err and message in err
+        assert "Traceback" not in err
+
+
 def test_float_structure_index_is_input_error(tmp_path, capsys, t3):
     doc = algebra_to_doc(t3.alg, t3.e)
     doc["structure"][0][0] = float(doc["structure"][0][0])
