@@ -21,25 +21,28 @@ integer echelon form of the single-argument derivation system of each law
 kind (_derivations, built once per kind, from an integer copy of the table),
 each kind's echelon rows indexed by column (_derivation_columns, read by
 the solver's two-sided slice system), the center's coordinates and, for
-decomp.py, the bracket table by right factor, verify_decomposition's own
-index of the products, and the echelon rows of the standard span S of
-Lie derivations (ad(T) plus the central maps) with their column index
-(_standard and _standard_columns, read by the law test), read off the
-product table and the center with no identity rows to solve.  One
-helper, _column_index, indexes both systems.  The derivation
-identity is fed only at the pairs that meet a generating set G, read off
-the table's one-term products (_generators): the x at which a map obeys
-the identity against every y form a subalgebra (by associativity, or by
-the Jacobi identity for the bracket), so the rows at G span all the
-others.  Each identity row is built from an index of the table by left
+decomp.py, the bracket table by right factor (_factor_index of the
+bracket table), verify_decomposition's own index of the products by
+right factor (b_i*b_p, and b_p*b_i negated), and the echelon rows of
+the standard span S of Lie derivations (ad(T) plus the central maps)
+with their column index (_standard and _standard_columns, read by the
+law test), read off the product table and the center with no identity
+rows to solve.  One helper, _column_index, indexes both systems, and
+one, _times_basis, builds every row of x*b_p or b_p*x over the basis
+that any module needs.  The derivation identity is fed only at the
+pairs that meet a generating set G, read off the table's one-term
+products (_generators): the x at which a map obeys the identity against
+every y form a subalgebra (by associativity, or by the Jacobi identity
+for the bracket), so the rows at G span all the others.  Each identity row is built from an index of the table by left
 and by right factor, made once per table (_factor_index), so it visits
 only the nonzero products, and the rows go through linalg.reduce_rows,
 which reduces no row of a component of columns that is already full.
-Cached values are ints, Fractions, bytes, dicts and tuples only, never
-Elements or the algebra itself, so an algebra stays free of reference
-cycles.  They are shared, not copied: callers read them and never change
-them.  Element arithmetic (multiply, lie_bracket) stays independent of the
-tables, for the checks that recompute from the structure constants.
+Cached values are ints, Fractions, bytes, dicts, lists and tuples only,
+never Elements or the algebra itself, so an algebra stays free of
+reference cycles.  They are shared, not copied: callers read them and
+never change them.  Element arithmetic (multiply, lie_bracket) stays
+independent of the tables, for the checks that recompute from the
+structure constants.
 
 A TriangularAlgebra keeps one such _cache too, filled through _cached, for
 what depends on its splitting: its two corner algebras, the bimodule hom
@@ -97,10 +100,9 @@ class FiniteAlgebra:
     def _validate(self):
         dim = self.dim
         # unit law on basis vectors, over the unit's support
-        support = [(j, u) for j, u in enumerate(self.unit) if u]
-        for i in range(dim):
-            left = _combine([(u, self._mul_basis(j, i)) for j, u in support])
-            right = _combine([(u, self._mul_basis(i, j)) for j, u in support])
+        lefts = _times_basis(self, self.unit, True)
+        rights = _times_basis(self, self.unit, False)
+        for i, (left, right) in enumerate(zip(lefts, rights)):
             want = {i: 1}
             if left != want:
                 raise ValueError(f"unit fails on the left at basis {i}")
@@ -259,6 +261,15 @@ def _combine(terms):
     return {k: v for k, v in out.items() if v}
 
 
+def _times_basis(alg, x, left):
+    """[x*b_p for every p] as sparse rows if left, else [b_p*x], x given
+    by its coordinates: the one builder of such rows."""
+    terms = [(a, c) for a, c in enumerate(x) if c]
+    mul = alg._mul_basis
+    return [_combine([(c, mul(a, p) if left else mul(p, a)) for a, c in terms])
+            for p in range(alg.dim)]
+
+
 def _cached(alg, key, build):
     value = alg._cache.get(key)
     if value is None:
@@ -296,9 +307,10 @@ def _table(alg, lie):
 
 
 def _factor_index(tab):
-    """The entries of tab by factor, for _identity_rows: (left, right)
-    with left[a] the (k, b_a o b_k) and right[c] the (k, b_k o b_c) over
-    tab's nonzero rows, k ascending."""
+    """The entries of tab by factor, for _identity_rows and decomp's
+    bracket table by right factor: (left, right) with left[a] the
+    (k, b_a o b_k) and right[c] the (k, b_k o b_c) over tab's nonzero
+    rows, k ascending."""
     left, right = {}, {}
     for (i, j), row in sorted(tab.items()):
         left.setdefault(i, []).append((j, row))
@@ -448,7 +460,10 @@ def _standard_system(alg):
     rows are then those of _derivations(alg, True), tuple for tuple (the
     unique reduced echelon form, each row scaled alike).  ad(b_x) is read
     off the product table as b_x*b_a - b_a*b_x at column a*dim + k, not off
-    the cached bracket table; the f come from one reducer over the
+    the cached bracket table.  This is an invariant: the rows are built
+    at the first decompose, which may come after the cached bracket table
+    has been filled, so reading alg._prod alone is what keeps a fault in
+    that table out of the law test.  The f come from one reducer over the
     brackets [b_x, b_a], x < a, and z from the center cache.  The table is
     scaled to integers by the lcm of its denominators, which leaves every
     span as it is, and each z by the lcm of its own.  The conditions are

@@ -14,7 +14,7 @@ of diagonal units, and built by one matrix-unit builder.
 import random
 
 from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine, _generators,
-                      _integer_table, center_basis, is_commutative, multiply)
+                      _integer_table, _times_basis, center_basis, is_commutative, multiply)
 from .linalg import RowReducer, SpanChecker, nullspace_from_reducer, reduce_rows
 
 
@@ -118,15 +118,12 @@ class TriangularAlgebra:
         f = alg.unit_element() - e
         self.e = e
         self.f = f
-        # e·b_i, b_i·e and (e·b_i)·e as sparse rows from e's support; the
-        # validated unit law gives the other corners through f = 1 - e:
+        # e·b_i, b_i·e and (e·b_i)·e as sparse rows; the validated unit
+        # law gives the other corners through f = 1 - e:
         # f·b_i·e = b_i·e - e·b_i·e, e·b_i·f = e·b_i - e·b_i·e and
         # f·b_i·f = b_i - e·b_i - b_i·e + e·b_i·e
-        support = [(j, c) for j, c in enumerate(e.coords) if c]
-        left = [_combine([(c, alg._mul_basis(j, i)) for j, c in support])
-                for i in range(alg.dim)]
-        right = [_combine([(c, alg._mul_basis(i, j)) for j, c in support])
-                 for i in range(alg.dim)]
+        left = _times_basis(alg, e.coords, True)
+        right = _times_basis(alg, e.coords, False)
         a_idx, m_idx, b_idx = [], [], []
         for i in range(alg.dim):
             bi = {i: 1}
@@ -326,9 +323,9 @@ def tau_inv(t, b):
 
 
 def _action(t, tab, g, left):
-    """m_v → b_g·m_v (left) or m_v·b_g, read from the product table tab
-    (the algebra's own or an integer copy): one {u: p} per v, the image's
-    coordinates over the eTf basis m_u."""
+    """m_v → b_g·m_v (left) or m_v·b_g, read from the integer product
+    table tab: one {u: p} per v, the image's coordinates over the eTf
+    basis m_u."""
     pos = {gu: u for u, gu in enumerate(t.m_indices)}
     return [{pos[k]: p for k, p in tab.get((g, gv) if left else (gv, g), {}).items()}
             for gv in t.m_indices]
@@ -392,17 +389,17 @@ def _standard_form_generators(t):
     {u·dm + v: c} entries of its matrix (m_v goes to Σ_u c·m_u), from the
     product table."""
     dm = len(t.m_indices)
+    pos = {g: u for u, g in enumerate(t.m_indices)}
     gens = []
     for side in ("a", "b"):
         corner, glob = t.corner(side)
         for z in center_basis(corner):
-            gen = {}
+            x = [0] * t.alg.dim
             for j, c in enumerate(z.coords):
-                if c:
-                    for v, im in enumerate(_action(t, t.alg._prod, glob[j], side == "a")):
-                        for u, p in im.items():
-                            gen[u * dm + v] = gen.get(u * dm + v, 0) + c * p
-            gens.append(gen)
+                x[glob[j]] = c
+            rows = _times_basis(t.alg, x, side == "a")
+            gens.append({pos[k] * dm + v: p for v, g in enumerate(t.m_indices)
+                         for k, p in rows[g].items()})
     return gens
 
 
@@ -475,11 +472,9 @@ def hypothesis_report(t):
             # the kernel of x → alpha·x on the corner, one row per output
             # coordinate k
             rows = {}
-            for j in range(corner_a.dim):
-                col = multiply(alpha, corner_a.basis_element(j))
-                for k, v in enumerate(col.coords):
-                    if v:
-                        rows.setdefault(k, {})[j] = v
+            for j, col in enumerate(_times_basis(corner_a, alpha.coords, True)):
+                for k, v in col.items():
+                    rows.setdefault(k, {})[j] = v
             red = RowReducer(corner_a.dim)
             for k in sorted(rows):
                 red.add_fraction_row(rows[k])

@@ -15,6 +15,11 @@ faithfulness and center from Element arithmetic.
 bimodule_homs(), standard_form_generators() and standard_form_check() are
 the references for hypothesis cond_iii: dense action matrices from Element
 arithmetic, their kernel and the corner centers by dense elimination.
+lemma_suite() is the reference for the Lemma 3.3-3.7 checks: every value
+by bilinear extension, every product as Element arithmetic, and alpha0
+and tau_inv solved through linalg.solve, as decompose() solves lambda0.
+It keeps check 3.4's separate antisymmetry witness, which the library
+leaves out as implied by the relations it tests.
 Slow on purpose; meant for cross-checking on small algebras.
 """
 
@@ -480,3 +485,173 @@ def verify_decomposition(t, phi, d):
             if phi.value(i, j) != rebuilt:
                 return False
     return True
+
+
+# -- lemma suite -----------------------------------------------------------------
+
+def _central_combination(t, gens, equations):
+    """sum_s c_s*gens[s] for the canonical solution c of the equations,
+    (coefficients by s, right-hand side) pairs, from linalg.solve; None if
+    there is none."""
+    entries = [(n, s, c) for n, (coeffs, _) in enumerate(equations)
+               for s, c in enumerate(coeffs) if c]
+    try:
+        sol = solve(SparseMatrix(len(equations), len(gens), entries),
+                    [rhs for _, rhs in equations])
+    except Inconsistent:
+        return None
+    out = t.alg.zero()
+    for s, c in enumerate(sol):
+        if c:
+            out = out + gens[s].scale(c)
+    return out
+
+
+def alpha0(t, phi):
+    """The alpha0 in the center's A-projection with phi(e, m) = alpha0*m
+    for every m in the off-diagonal block, or None."""
+    alg = t.alg
+    cen_a = [t.proj_a(z) for z in t.center]
+    equations = []
+    for u in t.m_indices:
+        m = alg.basis_element(u)
+        images = [multiply(za, m).coords for za in cen_a]
+        target = phi(t.e, m).coords
+        equations.extend(([im[o] for im in images], target[o]) for o in range(alg.dim))
+    return _central_combination(t, cen_a, equations)
+
+
+def tau_inv(t, b):
+    """The A-part of the central element whose B-part is b, b in fTf, or
+    None."""
+    equations = [([z.coords[g] for z in t.center], b.coords[g]) for g in t.b_indices]
+    return _central_combination(t, [t.proj_a(z) for z in t.center], equations)
+
+
+def _sign(plus_all, minus_all):
+    return {(True, True): "both", (True, False): "+1", (False, True): "-1"}.get(
+        (plus_all, minus_all))
+
+
+def lemma_suite(t, phi):
+    """Reference for lemma_suite: its entries, in its order, each a dict
+    with keys id, passed, witness and detail."""
+    alg = t.alg
+    labels = alg.basis_labels
+    basis = alg.basis()
+    e, f = t.e, t.f
+    one = alg.unit_element()
+    zero = alg.zero()
+    pee = phi(e, e)
+    pff = phi(f, f)
+    a_els = [(labels[g], basis[g]) for g in t.a_indices]
+    m_els = [(labels[g], basis[g]) for g in t.m_indices]
+    b_els = [(labels[g], basis[g]) for g in t.b_indices]
+    entries = []
+
+    def record(cid, witness, detail=None, passed=None):
+        entries.append({"id": cid, "passed": witness is None if passed is None else passed,
+                        "witness": witness, "detail": detail or {}})
+
+    def first(cases):
+        """The witness of the first failing case, or None."""
+        return next((wit for wit in cases if wit is not None), None)
+
+    record("3.3.1", first(
+        {"basis": tag, "residual": v}
+        for lb, x in zip(labels, basis)
+        for (u, w), tag in (((zero, x), ("0", lb)), ((x, zero), (lb, "0")))
+        for v in [phi(u, w)] if not v.is_zero()))
+
+    record("3.3.2", first(
+        {"basis": tag, "residual": v}
+        for lb, x in zip(labels, basis)
+        for (u, w), tag in (((one, x), ("1", lb)), ((x, one), (lb, "1")))
+        for v in [phi(u, w)] if not (t.is_central(v) and t.proj_m(v).is_zero())))
+
+    c_ee = t.proj_m(pee)
+    record("3.3.3", first(
+        {"basis": ("e", "e") + tag, "residual": diff}
+        for other, sign, tag in ((phi(f, e), -1, ("f", "e")), (phi(e, f), -1, ("e", "f")),
+                                 (pff, 1, ("f", "f")))
+        for diff in [c_ee - t.proj_m(other).scale(sign)] if not diff.is_zero()))
+
+    a0 = alpha0(t, phi)
+    if a0 is None:
+        record("3.4", {"basis": ("e", "m"),
+                       "reason": "no central alpha0 solves phi(e, m) = alpha0*m"},
+               {"alpha0": None, "b_side_sign": None})
+    else:
+        wit = None
+        anti_wit = None
+        for la, a in a_els:
+            for lm, m in m_els:
+                want = multiply(a0, multiply(a, m))
+                for tag, d in (((la, lm), phi(a, m) - want), ((lm, la), phi(m, a) + want)):
+                    if wit is None and not d.is_zero():
+                        wit = {"basis": tag, "residual": d}
+                anti = phi(a, m) + phi(m, a)
+                if anti_wit is None and not anti.is_zero():
+                    anti_wit = {"basis": (la, lm), "residual": anti}
+        plus_all = minus_all = True
+        for lb, b in b_els:
+            for lm, m in m_els:
+                want = multiply(a0, multiply(m, b))
+                plus_all &= (phi(b, m) - want).is_zero() and (phi(m, b) + want).is_zero()
+                minus_all &= (phi(b, m) + want).is_zero() and (phi(m, b) - want).is_zero()
+                anti = phi(b, m) + phi(m, b)
+                if anti_wit is None and not anti.is_zero():
+                    anti_wit = {"basis": (lb, lm), "residual": anti}
+        sign = _sign(plus_all, minus_all)
+        if sign is None and wit is None:
+            wit = {"basis": ("b", "m"),
+                   "reason": "no consistent sign for phi(b, m) = ±alpha0*m*b"}
+        record("3.4", wit or anti_wit, {"alpha0": a0, "b_side_sign": sign},
+               passed=wit is None and anti_wit is None and sign is not None)
+
+    def mixed(la, lb, a, b, v, p):
+        if t.proj_m(v) != -multiply(multiply(a, p), b):
+            return {"basis": (la, lb), "residual": v}
+        if not t.is_central(t.proj_a(v) + t.proj_b(v)):
+            return {"basis": (la, lb), "residual": v, "reason": "diagonal part not central"}
+        return None
+
+    record("3.5", first(
+        wit for la, a in a_els for lb, b in b_els
+        for wit in (mixed(la, lb, a, b, phi(a, b), pee), mixed(lb, la, a, b, phi(b, a), pff))))
+
+    record("3.6", first(
+        {"basis": (lu, lv), "residual": v}
+        for lu, mu_el in m_els for lv, mv_el in m_els
+        for v in [phi(mu_el, mv_el)] if not v.is_zero()))
+
+    if a0 is None:
+        record("3.7", {"basis": ("a1", "a2"),
+                       "reason": "alpha0 unavailable, diagonal relation untestable"},
+               {"diagonal_sign": None})
+    else:
+        wit = None
+        plus_all = minus_all = True
+        for l1, a1 in a_els:
+            for l2, a2 in a_els:
+                v = phi(a1, a2)
+                off = t.proj_m(v)
+                t12 = multiply(multiply(multiply(a1, a2), pee), f)
+                t21 = multiply(multiply(multiply(a2, a1), pee), f)
+                if off != t12 or off != t21:
+                    wit = wit or {"basis": (l1, l2), "residual": off - t12}
+                    continue
+                eta = tau_inv(t, t.proj_b(v))
+                if eta is None:
+                    wit = wit or {"basis": (l1, l2), "residual": t.proj_b(v),
+                                  "reason": "diagonal part outside the center's B-projection"}
+                    continue
+                shift = multiply(a0, lie_bracket(a1, a2))
+                plus_all &= t.proj_a(v) == eta + shift
+                minus_all &= t.proj_a(v) == eta - shift
+        sign = _sign(plus_all, minus_all)
+        if sign is None and wit is None:
+            wit = {"basis": ("a1", "a2"),
+                   "reason": "no consistent sign for the diagonal relation"}
+        record("3.7", wit, {"diagonal_sign": sign}, passed=wit is None and sign is not None)
+    return entries

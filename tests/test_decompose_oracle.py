@@ -12,9 +12,13 @@ witness scan, must match a dense per-slice check at every failing unit
 change on small algebras; on the crown, whose outer derivation lies
 outside the standard span the law test reads, they must hold every
 failing slice, and decompose must still give the reference's outcome on
-every basis map and on a perturbation of each.  verify_decomposition reads a table of its own:
-a fault in the table decompose reads must be stopped by it, and a fault
-in its own table must fail a correct split.  A bracket row doubled in
+every basis map and on a perturbation of each.  The one builder of
+product rows, algebra._times_basis, must equal Element multiplication on
+both sides, and both indexes of the brackets by right factor must hold
+plain (i, row) pairs that add up to the bracket table.
+verify_decomposition reads a table of its own: a fault in the table
+decompose reads must be stopped by it, and a fault in its own table must
+fail a correct split.  A bracket row doubled in
 decompose's table must raise ResidualNotCentral at that row's pair, and
 the CLI must render that witness.
 """
@@ -28,10 +32,13 @@ from liebider import cli
 from liebider import (BilinearMap, Decomposition, MapLaw, NoCentralLambda,
                       NotLieBider, Poset, ResidualNotCentral, SpanChecker,
                       block_upper_triangular, decompose, incidence_algebra, law_residual,
-                      make_extremal, make_inner, solve_space, upper_triangular,
+                      make_extremal, make_inner, multiply, solve_space, upper_triangular,
                       verify_decomposition)
-from liebider.algebra import _bracket_table, _brackets, _combine
-from liebider.decomp import _candidate_slices, _verify_brackets
+from liebider.algebra import _bracket_table, _brackets, _combine, _times_basis
+from liebider.decomp import _brackets_by_right, _candidate_slices, _verify_brackets
+from liebider.linalg import exact
+
+import exact_reference
 
 ALGEBRAS = {
     "t3": lambda: upper_triangular(3, 2),
@@ -250,6 +257,44 @@ def test_witness_matches_dense_scan_at_every_failing_coordinate(name):
     assert failing
 
 
+# -- one builder of product rows, plain rows by factor ---------------------------
+
+TABLE_ALGEBRAS = {**ALGEBRAS, "t2": lambda: upper_triangular(2, 1), "crown": CROWN,
+                  "rescaled_t5": exact_reference.rescaled_t5}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
+def test_times_basis_equals_multiply(name):
+    t = TABLE_ALGEBRAS[name]()
+    alg = t.alg
+    rnd = random.Random(f"times-basis-{name}")
+    seeded = alg.element([exact(f"{rnd.randint(-5, 5)}/{rnd.randint(1, 3)}")
+                          for _ in range(alg.dim)])
+    for x in alg.basis() + [alg.unit_element(), t.e, seeded]:
+        for left in (True, False):
+            rows = _times_basis(alg, x.coords, left)
+            assert len(rows) == alg.dim
+            for p, row in enumerate(rows):
+                b = alg.basis_element(p)
+                want = multiply(x, b) if left else multiply(b, x)
+                assert row == {k: v for k, v in enumerate(want.coords) if v}, (x, left, p)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
+def test_rows_by_right_factor_sum_to_the_bracket_table(name):
+    # each by-factor index holds plain (i, row) pairs under p, and the rows
+    # under p for one i add up to [b_i, b_p]
+    alg = TABLE_ALGEBRAS[name]().alg
+    table = _bracket_table(alg)
+    for index in (_brackets_by_right(alg), _verify_brackets(alg)):
+        sums = {}
+        for p, terms in index.items():
+            for i, row in terms:
+                sums.setdefault((i, p), []).append((1, row))
+        got = {key: _combine(terms) for key, terms in sums.items()}
+        assert {key: row for key, row in got.items() if row} == table
+
+
 # -- verify_decomposition shares no table with decompose -------------------------
 
 
@@ -266,7 +311,9 @@ def test_verify_catches_a_fault_in_the_table_decompose_reads():
     # centrality test cannot see a central shift, so decompose builds a
     # wrong mu, and only verify_decomposition, on its own table, stops it.
     # Every split decompose still returns must be a true one by the dense
-    # reference.  The law test's rows are built before the fault.
+    # reference.  The law test's rows are built at the first decompose,
+    # after the fault; they stay out of its reach because they are read
+    # from alg._prod, not from the faulted bracket cache.
     caught = 0
     for key in _brackets(upper_triangular(3, 2).alg):
         t = upper_triangular(3, 2)
@@ -294,8 +341,8 @@ def test_verify_rejects_a_correct_split_with_a_fault_in_its_own_table():
     own = _verify_brackets(t.alg)
     faults = 0
     for p, terms in own.items():
-        for n, (i, s, row) in enumerate(terms):
-            bad = terms[:n] + ((i, s, _combine([(1, row), (1, unit)])),) + terms[n + 1:]
+        for n, (i, row) in enumerate(terms):
+            bad = terms[:n] + ((i, _combine([(1, row), (1, unit)])),) + terms[n + 1:]
             t.alg._cache["verify brackets"] = {**own, p: bad}
             assert not verify_decomposition(t, phi, d), (p, n)
             faults += 1
@@ -304,8 +351,9 @@ def test_verify_rejects_a_correct_split_with_a_fault_in_its_own_table():
 
 
 def test_residual_not_central_names_the_pair_of_a_doubled_bracket_row():
-    # one bracket row doubled in the cached table decompose reads, after the
-    # law test's rows are built: the lambda0 system cannot absorb it, so the
+    # one bracket row doubled in the cached table decompose reads (the law
+    # test's rows, built at the first decompose, read alg._prod and do not
+    # see it): the lambda0 system cannot absorb it, so the
     # residual at that pair, in its (i, j) order, is the first non-central
     # value; basis map 8 of T3 shows it at four of the rows
     raised = {}
