@@ -14,14 +14,15 @@ defining identities from scratch, and lemma_suite() runs the battery of
 structural identities on the Peirce components that any such map must
 satisfy, solving for the scalar alpha0 once and testing every basis pair.
 
-decompose(), verify_decomposition() and the law witness work on sparse
-{coordinate: value} rows, never on dense Elements, and visit only the
-terms that can be nonzero: each map pays for its own terms, on tables
-built once per algebra.  The law test and the extraction read the
-algebra's structure tables (see algebra.py): the bracket table
-[b_i, b_j], here also indexed by right factor, and the integer echelon
-rows of the standard span S of Lie derivations, ad(T) plus the maps
-x -> f(x)*z with z central and f vanishing on [T, T] (algebra._standard).
+decompose(), verify_decomposition(), the law witness and lemma_suite()
+work on sparse {coordinate: value} rows, never on dense Elements; the
+first three visit only the terms that can be nonzero: each map pays for
+its own terms, on tables built once per algebra.  The law test and the
+extraction read the algebra's structure tables (see algebra.py): the
+bracket table [b_i, b_j], here also indexed by right factor, and the
+integer echelon rows of the standard span S of Lie derivations, ad(T)
+plus the maps x -> f(x)*z with z central and f vanishing on [T, T]
+(algebra._standard).
 S is read off the product table and the cached center, far more cheaply
 than the Lie derivation space W is solved; decompose() never builds W.
 The law test reads S's rows through their column index: one pass over
@@ -35,7 +36,8 @@ is none every candidate is an outer Lie derivation and the map goes on,
 so no verdict rests on S = W.  On an algebra with an outer derivation
 the scan is the price: on the crown (the 4-cycle poset split at {1, 2},
 dim S = 11, dim W = 12) valid maps have candidates, and their scan runs.
-r = phi(e, e) is read from phi's rows at the pairs where e is nonzero.
+r = phi(e, e) is read from phi's rows at the pairs where e is nonzero,
+by _at, which lemma_suite() uses for its values at 1, e and f.
 lambda0, like alpha0 in lemma_suite() and tau in triangular.py, is a
 central-coefficient solve (triangular._central_system and
 _central_solution).  Each such system depends on the triangular structure
@@ -56,14 +58,17 @@ solved map are integral, so the law test, the extraction, the
 re-verification and lemma_suite() run in int arithmetic there, and a
 table or map with denominators takes the same code with Fractions.
 Rows of x*b_p over the basis come from algebra._times_basis.
-lemma_suite() reads each phi(b_i, b_j) once, with phi.value, and extends
-phi bilinearly only at the arguments 0, 1, e and f.
-verify_decomposition() reads [b_i, b_p]
-as the product row b_i*b_p plus the row b_p*b_i negated, indexed once per
-algebra by right factor p from the product table itself, by a function of
-its own (_verify_brackets) under a cache key of its own, so it shares no
-cached data with what it checks; its entries are plain (i, row) pairs, as
-in the bracket table by right factor that decompose() reads.  It adds up
+lemma_suite() works on the same rows: phi(b_i, b_j) is phi's row at
+(i, j), a product x*y of rows is _at on the product table, Peirce parts
+keep the coordinates of their block, and centrality is the center
+span's membership test, as in decompose(); it evaluates no Element
+product and never calls phi.  verify_decomposition() reads
+[b_i, b_p] as the product row b_i*b_p plus the row b_p*b_i negated,
+indexed once per algebra by right factor p from the product table
+itself, by a function of its own (_verify_brackets) under a cache key of
+its own, so it shares no cached data with what it checks; its entries
+are plain (i, row) pairs, as in the bracket table by right factor that
+decompose() reads.  It adds up
 lambda0*[b_i, b_j], [b_i, [b_j, r]] and mu at the pairs these terms reach
 and compares with phi there and at phi's own pairs; at every other pair
 both sides vanish, so the check covers every basis pair.  decompose()
@@ -78,9 +83,9 @@ instead of silently picking a side.
 from math import lcm
 
 from .algebra import (Element, _brackets, _cached, _combine, _factor_index, _standard,
-                      _standard_columns, _times_basis, lie_bracket, multiply)
+                      _standard_columns, _times_basis)
 from .bider import BilinearMap
-from .linalg import exact
+from .linalg import _sparse, exact
 from .triangular import NotInProjection, _central_solution, _central_system, tau_inv
 
 
@@ -131,6 +136,14 @@ class Decomposition:
 
 def _element(alg, row):
     return Element(alg, [row.get(k, 0) for k in range(alg.dim)])
+
+
+def _at(rows, x, y):
+    """The bilinear map with rows {(i, j): {k: coefficient}} at sparse rows
+    x and y, by bilinear extension over their supports: phi(x, y) for
+    phi._rows(), and the product x*y for the product table alg._prod."""
+    empty = {}
+    return _combine([(a * b, rows.get((i, j), empty)) for i, a in x.items() for j, b in y.items()])
 
 
 def _lambda_system(t):
@@ -300,9 +313,8 @@ def decompose(t, phi):
         raise NotLieBider(witness)
 
     empty = {}
-    # r = phi(e, e), from phi's rows at the pairs where e is nonzero
-    e = [(i, c) for i, c in enumerate(t.e.coords) if c]
-    r = _element(alg, _combine([(a * b, coeffs.get((i, j), empty)) for i, a in e for j, b in e]))
+    e = _sparse(t.e.coords)
+    r = _element(alg, _at(coeffs, e, e))
     ext = _extremal(_brackets_by_right(alg), r.coords)
     # phi minus its extremal part: what lambda0*[., .] + mu must account for
     rest = {}
@@ -432,7 +444,7 @@ def _alpha0_system(t):
     """The alpha0 equations, a central-coefficient system: one column per
     center basis element z_s, its entries the coordinates (u, o) of
     pi_A(z_s)*m_u over the eTf basis; and the projections pi_A(z_s)."""
-    cen_a = [t.proj_a(z) for z in t.center]
+    cen_a = [_element(t.alg, {g: z.coords[g] for g in t.a_indices}) for z in t.center]
     columns = []
     for za in cen_a:
         rows = _times_basis(t.alg, za.coords, True)
@@ -440,14 +452,13 @@ def _alpha0_system(t):
     return _central_system(columns), cen_a
 
 
-def _solve_alpha0(t, phi):
+def _solve_alpha0(t, rows, e):
     """The element alpha0 of the center's A-projection with
-    phi(e, m) = alpha0*m for every m in the off-diagonal block, or None.
-    The system depends on t alone and is built once into t's _cache."""
-    alg = t.alg
+    phi(e, m) = alpha0*m for every m in the off-diagonal block, or None;
+    phi given by its rows, e as a sparse row.  The system depends on t
+    alone and is built once into t's _cache."""
     system, cen_a = _cached(t, "alpha0", _alpha0_system)
-    target = {(u, o): c for u in t.m_indices
-              for o, c in enumerate(phi(t.e, alg.basis_element(u)).coords) if c}
+    target = {(u, o): c for u in t.m_indices for o, c in _at(rows, e, {u: 1}).items()}
     return _central_solution(t, system, cen_a, target)
 
 
@@ -475,135 +486,111 @@ def lemma_suite(t, phi):
       3.7    values on A-pairs have off-diagonal part a1*a2*phi(e,e)*f in
              both argument orders, and the diagonal parts match through the
              central correspondence up to alpha0*[a1, a2], sign recorded
+
+    3.3.1 holds for every BilinearMap: phi is its coefficient tensor,
+    extended bilinearly, so a zero argument leaves an empty sum.  It is
+    recorded as passing without a test.
     """
     alg = t.alg
     if phi.algebra is not alg:
         raise ValueError("map does not live on this algebra")
     labels = alg.basis_labels
-    basis = [alg.basis_element(i) for i in range(alg.dim)]
-    value = phi.value
-    e, f = t.e, t.f
-    one = alg.unit_element()
-    zero = alg.zero()
-    pee = phi(e, e)
-    pff = phi(f, f)
-    a_els = [(g, labels[g], basis[g]) for g in t.a_indices]
-    m_els = [(g, labels[g], basis[g]) for g in t.m_indices]
-    b_els = [(g, labels[g], basis[g]) for g in t.b_indices]
+    rows = phi._rows()
+    prod = alg._prod
+    central = t._center_span
+    a_idx, m_idx, b_idx = t.a_indices, t.m_indices, t.b_indices
+    a_set, m_set, b_set = frozenset(a_idx), frozenset(m_idx), frozenset(b_idx)
+    diag = a_set | b_set
+    e, f, one = _sparse(t.e.coords), _sparse(t.f.coords), _sparse(alg.unit)
+    empty = {}
+    pee = _at(rows, e, e)
+    pff = _at(rows, f, f)
     entries = []
 
     def record(cid, passed, witness=None, detail=None):
         entries.append({"id": cid, "passed": passed,
                         "witness": witness, "detail": detail or {}})
 
-    # 3.3.1
-    wit = None
-    for lb, x in zip(labels, basis):
-        for args, tag in (((zero, x), ("0", lb)), ((x, zero), (lb, "0"))):
-            v = phi(*args)
-            if not v.is_zero():
-                wit = {"basis": tag, "residual": v}
-                break
-        if wit:
-            break
-    record("3.3.1", wit is None, wit)
+    def part(row, keys):
+        return {k: v for k, v in row.items() if k in keys}
+
+    def value(i, j):
+        return rows.get((i, j), empty)
+
+    def residual(tag, row, **reason):
+        return {"basis": tag, "residual": _element(alg, row), **reason}
+
+    # 3.3.1 holds by construction, as the docstring says
+    record("3.3.1", True)
 
     # 3.3.2
-    wit = None
-    for lb, x in zip(labels, basis):
-        for args, tag in (((one, x), ("1", lb)), ((x, one), (lb, "1"))):
-            v = phi(*args)
-            if not (t.is_central(v) and t.proj_m(v).is_zero()):
-                wit = {"basis": tag, "residual": v}
-                break
-        if wit:
-            break
+    wit = next((residual(tag, v) for j, lb in enumerate(labels)
+                for x, y, tag in ((one, {j: 1}, ("1", lb)), ({j: 1}, one, (lb, "1")))
+                for v in [_at(rows, x, y)]
+                if not m_set.isdisjoint(v) or not central.contains(v)), None)
     record("3.3.2", wit is None, wit)
 
     # 3.3.3: e phi(e,e) f = -e phi(f,e) f = -e phi(e,f) f = e phi(f,f) f
-    c_ee = t.proj_m(pee)
-    c_fe = t.proj_m(phi(f, e))
-    c_ef = t.proj_m(phi(e, f))
-    c_ff = t.proj_m(pff)
-    wit = None
-    for other, sign, tag in ((c_fe, -1, ("f", "e")), (c_ef, -1, ("e", "f")),
-                             (c_ff, 1, ("f", "f"))):
-        diff = c_ee - other.scale(sign)
-        if not diff.is_zero():
-            wit = {"basis": ("e", "e") + tag, "residual": diff}
-            break
+    c_ee = part(pee, m_set)
+    wit = next((residual(("e", "e") + tag, diff)
+                for other, sign, tag in ((_at(rows, f, e), -1, ("f", "e")),
+                                         (_at(rows, e, f), -1, ("e", "f")), (pff, 1, ("f", "f")))
+                for diff in [_combine([(1, c_ee), (-sign, part(other, m_set))])] if diff), None)
     record("3.3.3", wit is None, wit)
 
     # 3.4: the A-side relations make phi antisymmetric on A x M, and either
     # sign of the B-side relation makes it antisymmetric on B x M, so a
     # failure of antisymmetry always shows as wit or as no consistent sign
-    alpha0 = _solve_alpha0(t, phi)
+    alpha0 = _solve_alpha0(t, rows, e)
     if alpha0 is None:
         record("3.4", False,
                {"basis": ("e", "m"),
                 "reason": "no central alpha0 solves phi(e, m) = alpha0*m"},
                {"alpha0": None, "b_side_sign": None})
     else:
+        a0 = _sparse(alpha0.coords)
         wit = None
-        for ga, la, a in a_els:
-            for gm, lm, m in m_els:
-                want = multiply(alpha0, multiply(a, m))
-                d1 = value(ga, gm) - want
-                if not d1.is_zero() and wit is None:
-                    wit = {"basis": (la, lm), "residual": d1}
-                d2 = value(gm, ga) + want
-                if not d2.is_zero() and wit is None:
-                    wit = {"basis": (lm, la), "residual": d2}
-        plus_all = True
-        minus_all = True
-        for gb, _, b in b_els:
-            for gm, _, m in m_els:
-                want = multiply(alpha0, multiply(m, b))
+        for ga in a_idx:
+            for gm in m_idx:
+                want = _at(prod, a0, prod.get((ga, gm), empty))
+                for x, y, sign in ((ga, gm, -1), (gm, ga, 1)):
+                    diff = _combine([(1, value(x, y)), (sign, want)])
+                    if diff and wit is None:
+                        wit = residual((labels[x], labels[y]), diff)
+        plus_all = minus_all = True
+        for gb in b_idx:
+            for gm in m_idx:
+                want = _at(prod, a0, prod.get((gm, gb), empty))
+                neg = {k: -v for k, v in want.items()}
                 bm, mb = value(gb, gm), value(gm, gb)
-                if not (bm == want and mb == -want):
-                    plus_all = False
-                if not (bm == -want and mb == want):
-                    minus_all = False
+                plus_all &= bm == want and mb == neg
+                minus_all &= bm == neg and mb == want
         sign = _sign(plus_all, minus_all)
         if sign is None and wit is None:
             wit = {"basis": ("b", "m"),
                    "reason": "no consistent sign for phi(b, m) = ±alpha0*m*b"}
         record("3.4", wit is None, wit, {"alpha0": alpha0, "b_side_sign": sign})
 
-    # 3.5
-    wit = None
-    for ga, la, a in a_els:
-        for gb, lb, b in b_els:
-            v1 = value(ga, gb)
-            if t.proj_m(v1) != -multiply(multiply(a, pee), b):
-                wit = {"basis": (la, lb), "residual": v1}
-                break
-            if not t.is_central(t.proj_a(v1) + t.proj_b(v1)):
-                wit = {"basis": (la, lb), "residual": v1,
-                       "reason": "diagonal part not central"}
-                break
-            v2 = value(gb, ga)
-            if t.proj_m(v2) != -multiply(multiply(a, pff), b):
-                wit = {"basis": (lb, la), "residual": v2}
-                break
-            if not t.is_central(t.proj_a(v2) + t.proj_b(v2)):
-                wit = {"basis": (lb, la), "residual": v2,
-                       "reason": "diagonal part not central"}
-                break
-        if wit:
-            break
+    # 3.5: phi(a, b) + a*phi(e, e)*b and phi(b, a) + a*phi(f, f)*b have no
+    # off-diagonal part, and the diagonal parts of phi(a, b) and phi(b, a)
+    # are central
+    def mixed(ga, gb):
+        for x, y, p in ((ga, gb, pee), (gb, ga, pff)):
+            v = value(x, y)
+            tag = (labels[x], labels[y])
+            apb = _at(prod, _at(prod, {ga: 1}, p), {gb: 1})
+            if not m_set.isdisjoint(_combine([(1, v), (1, apb)])):
+                return residual(tag, v)
+            if not central.contains(part(v, diag)):
+                return residual(tag, v, reason="diagonal part not central")
+        return None
+
+    wit = next(filter(None, (mixed(ga, gb) for ga in a_idx for gb in b_idx)), None)
     record("3.5", wit is None, wit)
 
     # 3.6
-    wit = None
-    for gu, lu, _ in m_els:
-        for gv, lv, _ in m_els:
-            v = value(gu, gv)
-            if not v.is_zero():
-                wit = {"basis": (lu, lv), "residual": v}
-                break
-        if wit:
-            break
+    wit = next((residual((labels[u], labels[w]), rows[u, w])
+                for u in m_idx for w in m_idx if (u, w) in rows), None)
     record("3.6", wit is None, wit)
 
     # 3.7
@@ -613,33 +600,36 @@ def lemma_suite(t, phi):
                 "reason": "alpha0 unavailable, diagonal relation untestable"},
                {"diagonal_sign": None})
     else:
+        br = _brackets(alg)
+        # the algebra is associative: (a1*a2)*phi(e, e)*f is a1*a2 times
+        # the one row phi(e, e)*f
+        pef = _at(prod, pee, f)
         wit = None
-        plus_all = True
-        minus_all = True
-        for g1, l1, a1 in a_els:
-            for g2, l2, a2 in a_els:
+        plus_all = minus_all = True
+        for g1 in a_idx:
+            for g2 in a_idx:
+                tag = (labels[g1], labels[g2])
                 v = value(g1, g2)
-                off = t.proj_m(v)
-                t12 = multiply(multiply(multiply(a1, a2), pee), f)
-                t21 = multiply(multiply(multiply(a2, a1), pee), f)
+                off = part(v, m_set)
+                t12 = _at(prod, prod.get((g1, g2), empty), pef)
+                t21 = _at(prod, prod.get((g2, g1), empty), pef)
                 if off != t12 or off != t21:
                     if wit is None:
-                        wit = {"basis": (l1, l2), "residual": off - t12}
+                        wit = residual(tag, _combine([(1, off), (-1, t12)]))
                     continue
-                fvf = t.proj_b(v)
+                fvf = part(v, b_set)
                 try:
-                    eta = tau_inv(t, fvf)
+                    # tau_inv is linear: tau_inv(0) = 0
+                    eta = _sparse(tau_inv(t, _element(alg, fvf)).coords) if fvf else {}
                 except NotInProjection:
                     if wit is None:
-                        wit = {"basis": (l1, l2), "residual": fvf,
-                               "reason": "diagonal part outside the center's B-projection"}
+                        wit = residual(tag, fvf,
+                                       reason="diagonal part outside the center's B-projection")
                     continue
-                eae = t.proj_a(v)
-                shift = multiply(alpha0, lie_bracket(a1, a2))
-                if eae != eta + shift:
-                    plus_all = False
-                if eae != eta - shift:
-                    minus_all = False
+                eae = part(v, a_set)
+                shift = _at(prod, a0, br.get((g1, g2), empty))
+                plus_all &= eae == _combine([(1, eta), (1, shift)])
+                minus_all &= eae == _combine([(1, eta), (-1, shift)])
         sign = _sign(plus_all, minus_all)
         if sign is None and wit is None:
             wit = {"basis": ("a1", "a2"),

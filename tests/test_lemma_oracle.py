@@ -3,11 +3,13 @@
 dense_oracle.lemma_suite extends every value bilinearly, multiplies through
 Element arithmetic and solves alpha0 and tau_inv through linalg.solve; it
 also keeps check 3.4's separate antisymmetry witness.  liebider.lemma_suite
-reads each value at two basis elements once and solves through the
-factored central systems.  Both must give the same entries (id, passed,
-witness labels, residual or reason, detail) on every basis map, on seeded
-integer combinations and on maps with one to three coefficients changed,
-passing and failing entries alike.
+reads the map's rows and the structure tables, with no Element product or
+evaluation, and solves through the factored central systems.  Both must
+give the same entries (id, passed, witness labels, residual or reason,
+detail) on every basis map, on seeded integer combinations and on maps
+with one to three coefficients changed, passing and failing entries
+alike.  The rescaled T5 has a table with denominators, so there the rows
+carry Fractions.
 """
 
 import random
@@ -15,14 +17,21 @@ import random
 import pytest
 
 import dense_oracle
+import exact_reference
 from liebider import (BilinearMap, MapLaw, Poset, block_upper_triangular, incidence_algebra,
                       lemma_suite, solve_space, upper_triangular)
+from liebider import algebra as algebra_module
+from liebider import decomp as decomp_module
 
 ALGEBRAS = {
     "t2": lambda: upper_triangular(2, 1),
     "t3": lambda: upper_triangular(3, 2),
     "t4": lambda: upper_triangular(4, 2),
+    "t5k2": lambda: upper_triangular(5, 2),
+    "rescaled_t5": exact_reference.rescaled_t5,
+    "block21": lambda: block_upper_triangular([2, 1], 1),
     "block22": lambda: block_upper_triangular([2, 2], 1),
+    "block221": lambda: block_upper_triangular([2, 2, 1], 1),
     "v": lambda: incidence_algebra(Poset(3, [(1, 3), (2, 3)]), [1, 2]),
     "diamond": lambda: incidence_algebra(
         Poset(4, [(1, 2), (1, 3), (2, 4), (3, 4)]), [1, 2, 3]),
@@ -59,3 +68,21 @@ def test_lemma_suite_agrees_with_dense_reference(name):
         failing.update(ent["id"] for ent in got if not ent["passed"])
     # the perturbed maps reach failing entries, so their witnesses are compared
     assert failing
+
+
+def test_lemma_suite_takes_no_element_products_or_evaluations(monkeypatch):
+    # the reference runs first, on Element arithmetic; lemma_suite then runs
+    # with every evaluation of the map and every Element product refused
+    t = ALGEBRAS["t4"]()
+    phis = [phi for _, _, phi in inputs(t, random.Random("lemma-rows-t4"))]
+    want = [dense_oracle.lemma_suite(t, phi) for phi in phis]
+
+    def refuse(*args):
+        raise AssertionError("lemma_suite took an Element product or evaluation")
+
+    for name in ("__call__", "value"):
+        monkeypatch.setattr(BilinearMap, name, refuse)
+    for name in ("multiply", "lie_bracket"):
+        monkeypatch.setattr(algebra_module, name, refuse)
+        monkeypatch.setattr(decomp_module, name, refuse, raising=False)
+    assert [list(lemma_suite(t, phi)) for phi in phis] == want
