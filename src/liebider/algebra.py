@@ -46,9 +46,9 @@ structure constants.
 
 A TriangularAlgebra keeps one such _cache too, filled through _cached, for
 what depends on its splitting: its two corner algebras, the bimodule hom
-basis and the factored central-coefficient systems of tau, lambda0 and
-alpha0.  Its entries may hold Elements of the underlying algebra, which
-never refers back to the TriangularAlgebra.  A corner is a FiniteAlgebra
+basis and the factored central systems of tau, tau_inv, lambda0 and
+alpha0.  Its entries hold no Element: a central system's solution is a
+sparse row of the center.  A corner is a FiniteAlgebra
 of its own, built once per side, so its tables and center sit in its own
 _cache and last as long as the triangular algebra does.
 """

@@ -38,14 +38,16 @@ the scan is the price: on the crown (the 4-cycle poset split at {1, 2},
 dim S = 11, dim W = 12) valid maps have candidates, and their scan runs.
 r = phi(e, e) is read from phi's rows at the pairs where e is nonzero,
 by _at, which lemma_suite() uses for its values at 1, e and f.
-lambda0, like alpha0 in lemma_suite() and tau in triangular.py, is a
-central-coefficient solve (triangular._central_system and
-_central_solution).  Each such system depends on the triangular structure
-only; it is factored once, on first use, into its pivot columns and the
-inverse of an invertible square of them, and cached in the triangular
-algebra's _cache (see _lambda_system and _alpha0_system).  Each map then
-only supplies its right-hand side: one product with the inverse, and a
-check of the equation at the keys the target and the used columns reach.
+lambda0, like alpha0 and tau_inv in lemma_suite(), is the central z with
+prescribed products z*row, solved as a sparse row by
+triangular._center_system and _central_solution; the rows are the
+off-diagonal parts of the brackets (_lambda_system), the m_u for alpha0
+and f for tau_inv, whose answers are z's A-part.  Each system depends on
+the triangular structure only; it is factored once, on first use, into
+its pivot columns and the inverse of an invertible square of them, and
+cached in the triangular algebra's _cache.  Each map then only supplies
+its right-hand side: one product with the inverse, and a check of the
+equation at the keys the target and the used columns reach.
 [b_i, [b_j, r]] and lambda0*[b_i, b_j] are read off the bracket table,
 linear in the support of r and lambda0, and mu is formed at the pairs
 where the residual or, for a nonzero lambda0, the bracket is nonzero.
@@ -82,11 +84,11 @@ instead of silently picking a side.
 
 from math import lcm
 
-from .algebra import (Element, _brackets, _cached, _combine, _factor_index, _standard,
-                      _standard_columns, _times_basis)
+from .algebra import (_brackets, _cached, _combine, _factor_index, _standard, _standard_columns,
+                      _times_basis)
 from .bider import BilinearMap
 from .linalg import _sparse, exact
-from .triangular import NotInProjection, _central_solution, _central_system, tau_inv
+from .triangular import _central_part, _central_solution, _center_system, _element
 
 
 class NotLieBider(Exception):
@@ -134,10 +136,6 @@ class Decomposition:
                 f"mu with {len(self.mu.items())} coefficients)")
 
 
-def _element(alg, row):
-    return Element(alg, [row.get(k, 0) for k in range(alg.dim)])
-
-
 def _at(rows, x, y):
     """The bilinear map with rows {(i, j): {k: coefficient}} at sparse rows
     x and y, by bilinear extension over their supports: phi(x, y) for
@@ -147,24 +145,13 @@ def _at(rows, x, y):
 
 
 def _lambda_system(t):
-    """The lambda0 equations, a central-coefficient system: one column per
-    center basis element z_s, its entries the off-diagonal coordinates
-    (i, j, o) of z_s*[b_i, b_j].  At an off-diagonal coordinate no column
-    reaches, no lambda0 contributes, so the residual itself has to vanish
-    there."""
-    alg = t.alg
+    """The lambda0 equations, a _center_system on the off-diagonal parts of
+    the brackets [b_i, b_j]: z*pi_M([b_i, b_j]) = pi_M(z*[b_i, b_j]) at each
+    key ((i, j), o).  At an off-diagonal coordinate no column reaches, no
+    lambda0 contributes, so the residual itself has to vanish there."""
     m_set = frozenset(t.m_indices)
-    columns = []
-    for z in t.center:
-        zb = _times_basis(alg, z.coords, True)
-        col = {}
-        for (i, j), row in _brackets(alg).items():
-            prod = _combine([(v, zb[p]) for p, v in row.items()])
-            for o, c in prod.items():
-                if o in m_set:
-                    col[(i, j, o)] = c
-        columns.append(col)
-    return _central_system(columns)
+    return _center_system(t, [(key, {o: c for o, c in row.items() if o in m_set})
+                              for key, row in _brackets(t.alg).items()])
 
 
 def _brackets_by_right(alg):
@@ -324,11 +311,11 @@ def decompose(t, phi):
             rest[key] = row
 
     m_set = frozenset(t.m_indices)
-    target = {(i, j, o): v for (i, j), row in rest.items()
-              for o, v in row.items() if o in m_set}
-    lambda0 = _central_solution(t, _cached(t, "lambda0", _lambda_system), t.center, target)
+    target = {(key, o): v for key, row in rest.items() for o, v in row.items() if o in m_set}
+    lambda0 = _central_solution(t, _cached(t, "lambda0", _lambda_system), target)
     if lambda0 is None:
         raise NoCentralLambda("no central element matches the off-diagonal residual")
+    lambda0 = _element(alg, lambda0)
 
     # lambda0*[b_i, b_j] is nonzero only at the bracket table's pairs, and
     # only if lambda0 is
@@ -440,26 +427,15 @@ class LemmaReport:
         return f"LemmaReport(failing: {', '.join(bad)})"
 
 
-def _alpha0_system(t):
-    """The alpha0 equations, a central-coefficient system: one column per
-    center basis element z_s, its entries the coordinates (u, o) of
-    pi_A(z_s)*m_u over the eTf basis; and the projections pi_A(z_s)."""
-    cen_a = [_element(t.alg, {g: z.coords[g] for g in t.a_indices}) for z in t.center]
-    columns = []
-    for za in cen_a:
-        rows = _times_basis(t.alg, za.coords, True)
-        columns.append({(u, o): c for u in t.m_indices for o, c in rows[u].items()})
-    return _central_system(columns), cen_a
-
-
 def _solve_alpha0(t, rows, e):
     """The element alpha0 of the center's A-projection with
-    phi(e, m) = alpha0*m for every m in the off-diagonal block, or None;
-    phi given by its rows, e as a sparse row.  The system depends on t
-    alone and is built once into t's _cache."""
-    system, cen_a = _cached(t, "alpha0", _alpha0_system)
+    phi(e, m) = alpha0*m for every m in the off-diagonal block, as a sparse
+    row, or None; phi given by its rows, e as a sparse row.  It is the
+    A-part of the central z with z*m_u = phi(e, m_u), as z*m = pi_A(z)*m."""
+    system = _cached(t, "alpha0", lambda t: _center_system(t, [(u, {u: 1}) for u in t.m_indices]))
     target = {(u, o): c for u in t.m_indices for o, c in _at(rows, e, {u: 1}).items()}
-    return _central_solution(t, system, cen_a, target)
+    z = _central_solution(t, system, target)
+    return None if z is None else {k: v for k, v in z.items() if k in t.a_indices}
 
 
 def _sign(plus_all, minus_all):
@@ -541,14 +517,13 @@ def lemma_suite(t, phi):
     # 3.4: the A-side relations make phi antisymmetric on A x M, and either
     # sign of the B-side relation makes it antisymmetric on B x M, so a
     # failure of antisymmetry always shows as wit or as no consistent sign
-    alpha0 = _solve_alpha0(t, rows, e)
-    if alpha0 is None:
+    a0 = _solve_alpha0(t, rows, e)
+    if a0 is None:
         record("3.4", False,
                {"basis": ("e", "m"),
                 "reason": "no central alpha0 solves phi(e, m) = alpha0*m"},
                {"alpha0": None, "b_side_sign": None})
     else:
-        a0 = _sparse(alpha0.coords)
         wit = None
         for ga in a_idx:
             for gm in m_idx:
@@ -569,7 +544,7 @@ def lemma_suite(t, phi):
         if sign is None and wit is None:
             wit = {"basis": ("b", "m"),
                    "reason": "no consistent sign for phi(b, m) = ±alpha0*m*b"}
-        record("3.4", wit is None, wit, {"alpha0": alpha0, "b_side_sign": sign})
+        record("3.4", wit is None, wit, {"alpha0": _element(alg, a0), "b_side_sign": sign})
 
     # 3.5: phi(a, b) + a*phi(e, e)*b and phi(b, a) + a*phi(f, f)*b have no
     # off-diagonal part, and the diagonal parts of phi(a, b) and phi(b, a)
@@ -594,7 +569,7 @@ def lemma_suite(t, phi):
     record("3.6", wit is None, wit)
 
     # 3.7
-    if alpha0 is None:
+    if a0 is None:
         record("3.7", False,
                {"basis": ("a1", "a2"),
                 "reason": "alpha0 unavailable, diagonal relation untestable"},
@@ -618,14 +593,14 @@ def lemma_suite(t, phi):
                         wit = residual(tag, _combine([(1, off), (-1, t12)]))
                     continue
                 fvf = part(v, b_set)
-                try:
-                    # tau_inv is linear: tau_inv(0) = 0
-                    eta = _sparse(tau_inv(t, _element(alg, fvf)).coords) if fvf else {}
-                except NotInProjection:
+                # tau_inv(fvf) is z's A-part; tau_inv is linear: tau_inv(0) = 0
+                z = _central_part(t, fvf, "b") if fvf else {}
+                if z is None:
                     if wit is None:
                         wit = residual(tag, fvf,
                                        reason="diagonal part outside the center's B-projection")
                     continue
+                eta = part(z, a_set)
                 eae = part(v, a_set)
                 shift = _at(prod, a0, br.get((g1, g2), empty))
                 plus_all &= eae == _combine([(1, eta), (1, shift)])

@@ -13,9 +13,10 @@ of diagonal units, and built by one matrix-unit builder.
 
 import random
 
-from .algebra import (Element, FiniteAlgebra, _brackets, _cached, _combine, _generators,
-                      _integer_table, _times_basis, center_basis, is_commutative, multiply)
-from .linalg import RowReducer, SpanChecker, nullspace_from_reducer, reduce_rows
+from .algebra import (Element, FiniteAlgebra, MixedAlgebras, _brackets, _cached, _combine,
+                      _generators, _integer_table, _times_basis, center_basis, is_commutative,
+                      multiply)
+from .linalg import RowReducer, SpanChecker, _sparse, nullspace_from_reducer, reduce_rows
 
 
 class ConstructionError(ValueError):
@@ -101,9 +102,10 @@ class TriangularAlgebra:
     table, once per basis element, instead of taking dense products.  The
     center, from the integer bracket table, is computed eagerly.  What
     depends on the triangular structure alone (the corner algebras, the
-    bimodule hom basis, the central-coefficient systems of tau, lambda0
-    and alpha0) is built on first use into _cache through algebra._cached;
-    all queries are pure.
+    bimodule hom basis, the central systems of tau, tau_inv, lambda0 and
+    alpha0, all built by _center_system) is built on first use into _cache
+    through algebra._cached; all queries are pure.  Every query taking an
+    Element raises MixedAlgebras on one of another algebra.
     """
 
     __slots__ = ("alg", "e", "f", "a_indices", "m_indices", "b_indices",
@@ -171,11 +173,13 @@ class TriangularAlgebra:
 
     # -- Peirce structure ------------------------------------------------
 
+    def _check(self, x):
+        if x.algebra is not self.alg:
+            raise MixedAlgebras("operands from different algebras")
+
     def _restrict(self, x, indices):
-        coords = [0] * self.alg.dim
-        for i in indices:
-            coords[i] = x.coords[i]
-        return Element(self.alg, coords)
+        self._check(x)
+        return _element(self.alg, {i: x.coords[i] for i in indices})
 
     def proj_a(self, x):
         return self._restrict(x, self.a_indices)
@@ -187,6 +191,7 @@ class TriangularAlgebra:
         return self._restrict(x, self.b_indices)
 
     def is_central(self, x):
+        self._check(x)
         return self._center_span.contains(x.coords)
 
     def corner(self, side):
@@ -227,6 +232,10 @@ def _corner_algebra(t, side):
     return FiniteAlgebra(len(glob), labels, structure, unit), glob
 
 
+def _element(alg, row):
+    return Element(alg, [row.get(k, 0) for k in range(alg.dim)])
+
+
 def peirce(t, x):
     """Split x into its (eTe, eTf, fTf) components; they sum back to x."""
     return t.proj_a(x), t.proj_m(x), t.proj_b(x)
@@ -264,10 +273,26 @@ def _central_system(columns):
     return columns, pivots, chosen, inverse
 
 
-def _central_solution(t, system, gens, target):
-    """sum_s c_s*gens[s] for the canonical solution c of a _central_system
-    with right-hand side target ({key: nonzero value}), free coefficients
-    zero, as linalg.solve gives it; None if there is none.
+def _center_system(t, rows):
+    """The _central_system of the central z with prescribed products z*row:
+    the column of center basis element z_s holds z_s*row at (key, o), for
+    each (key, row) of sparse rows.  For central z, z*pi_M(x) = pi_M(z*x),
+    z*m = pi_A(z)*m for m in eTf, z*e = pi_A(z) and z*f = pi_B(z), so the
+    lambda0, alpha0, tau and tau_inv systems differ only in their rows."""
+    columns = []
+    for z in t.center:
+        zb = _times_basis(t.alg, z.coords, True)
+        columns.append({(key, o): c for key, row in rows
+                        for o, c in _combine([(v, zb[p]) for p, v in row.items()]).items()})
+    return _central_system(columns)
+
+
+def _central_solution(t, system, target):
+    """z = sum_s c_s*z_s over the center basis, as a sparse row, for the
+    canonical solution c of a _central_system with one column per center
+    basis element, as _center_system builds it, and right-hand side target
+    ({key: nonzero value}), free coefficients zero, as linalg.solve gives
+    it; None if there is none.
 
     The pivot coefficients are the inverse times the target at the
     system's keys.  They solve the system iff the sum they make equals the
@@ -280,32 +305,29 @@ def _central_solution(t, system, gens, target):
     used = [(c, s) for c, s in zip(coeffs, pivots) if c]
     if _combine([(c, columns[s]) for c, s in used]) != target:
         return None
-    out = t.alg.zero()
-    for c, s in used:
-        out = out + gens[s].scale(c)
-    return out
+    return _combine([(c, _sparse(t.center[s].coords)) for c, s in used])
 
 
-def _tau_system(t, side):
-    """The central-coefficient system of tau (side 'a') or tau_inv ('b'):
-    the center basis restricted to the corner, and its other parts."""
-    indices = t.a_indices if side == "a" else t.b_indices
-    other = t.proj_b if side == "a" else t.proj_a
-    columns = [{g: z.coords[g] for g in indices if z.coords[g]} for z in t.center]
-    return _central_system(columns), [other(z) for z in t.center]
+def _central_part(t, row, side):
+    """The central z, a sparse row, with A-part (side 'a') or B-part ('b')
+    row, or None: the solve of z*e = row (resp. z*f = row)."""
+    system = _cached(t, ("tau", side), lambda t: _center_system(
+        t, [(side, _sparse((t.e if side == "a" else t.f).coords))]))
+    return _central_solution(t, system, {(side, k): v for k, v in row.items()})
 
 
 def _central_part_map(t, a, side):
-    """Solve for the central z with given A-part (side 'a') or B-part ('b')."""
-    indices = t.a_indices if side == "a" else t.b_indices
+    """Solve for the central z with given A-part (side 'a') or B-part ('b'),
+    and return its other part."""
+    t._check(a)
+    indices, other = (t.a_indices, t.b_indices) if side == "a" else (t.b_indices, t.a_indices)
     for i, c in enumerate(a.coords):
         if c != 0 and i not in indices:
             raise NotInProjection("element does not lie in the corner")
-    system, gens = _cached(t, ("tau", side), lambda t: _tau_system(t, side))
-    out = _central_solution(t, system, gens, {i: c for i, c in enumerate(a.coords) if c})
-    if out is None:
+    z = _central_part(t, _sparse(a.coords), side)
+    if z is None:
         raise NotInProjection("element is not the corner part of any central element")
-    return out
+    return _element(t.alg, {k: z[k] for k in other if k in z})
 
 
 def tau(t, a):

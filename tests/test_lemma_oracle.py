@@ -4,7 +4,9 @@ dense_oracle.lemma_suite extends every value bilinearly, multiplies through
 Element arithmetic and solves alpha0 and tau_inv through linalg.solve; it
 also keeps check 3.4's separate antisymmetry witness.  liebider.lemma_suite
 reads the map's rows and the structure tables, with no Element product or
-evaluation, and solves through the factored central systems.  Both must
+evaluation, and solves through the factored central systems, which return
+sparse rows, so it takes no Element sum or scaling either; the last test
+holds decompose to the same.  Both must
 give the same entries (id, passed, witness labels, residual or reason,
 detail) on every basis map, on seeded integer combinations and on maps
 with one to three coefficients changed, passing and failing entries
@@ -18,10 +20,11 @@ import pytest
 
 import dense_oracle
 import exact_reference
-from liebider import (BilinearMap, MapLaw, Poset, block_upper_triangular, incidence_algebra,
-                      lemma_suite, solve_space, upper_triangular)
+from liebider import (BilinearMap, Element, MapLaw, Poset, block_upper_triangular, decompose,
+                      incidence_algebra, lemma_suite, solve_space, upper_triangular)
 from liebider import algebra as algebra_module
 from liebider import decomp as decomp_module
+from test_decompose_oracle import outcome
 
 ALGEBRAS = {
     "t2": lambda: upper_triangular(2, 1),
@@ -71,18 +74,24 @@ def test_lemma_suite_agrees_with_dense_reference(name):
 
 
 def test_lemma_suite_takes_no_element_products_or_evaluations(monkeypatch):
-    # the reference runs first, on Element arithmetic; lemma_suite then runs
-    # with every evaluation of the map and every Element product refused
+    # the references run first, on Element arithmetic; lemma_suite and
+    # decompose then run with every evaluation of the map, every Element
+    # product and every Element sum, difference and scaling refused: their
+    # central solves return sparse rows
     t = ALGEBRAS["t4"]()
     phis = [phi for _, _, phi in inputs(t, random.Random("lemma-rows-t4"))]
     want = [dense_oracle.lemma_suite(t, phi) for phi in phis]
+    want_parts = [outcome(dense_oracle.decompose, t, phi) for phi in phis]
 
     def refuse(*args):
-        raise AssertionError("lemma_suite took an Element product or evaluation")
+        raise AssertionError("took an Element sum, product or evaluation")
 
     for name in ("__call__", "value"):
         monkeypatch.setattr(BilinearMap, name, refuse)
+    for name in ("__add__", "__sub__", "scale"):
+        monkeypatch.setattr(Element, name, refuse)
     for name in ("multiply", "lie_bracket"):
         monkeypatch.setattr(algebra_module, name, refuse)
         monkeypatch.setattr(decomp_module, name, refuse, raising=False)
     assert [list(lemma_suite(t, phi)) for phi in phis] == want
+    assert [outcome(decompose, t, phi) for phi in phis] == want_parts

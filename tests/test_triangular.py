@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liebider import (BadSplit, Disconnected, NotInProjection, Poset,
+from liebider import (BadSplit, Disconnected, MixedAlgebras, NotInProjection, Poset,
                       SingleBlock, TriangularAlgebra, bimodule_hom_basis,
                       block_upper_triangular, center_basis, hypothesis_report,
-                      incidence_algebra, lie_bracket, multiply, peirce,
+                      incidence_algebra, lie_bracket, make_central, multiply, peirce,
                       standard_form_check, tau, tau_inv, upper_triangular)
 from liebider.serialize import algebra_fingerprint
 
@@ -402,3 +402,18 @@ def test_is_central(t3):
     assert t3.is_central(t3.alg.unit_element())
     assert t3.is_central(t3.alg.zero())
     assert not t3.is_central(t3.e)
+
+
+def test_foreign_elements_are_refused(t2, t3):
+    # T3 split at 1 and at 2 have the same dimension, so a coordinate-only
+    # reading would take one's elements for the other's
+    t3k1 = upper_triangular(3, 1)
+    unit = t3k1.alg.unit_element()
+    for fn in (t3.is_central, t3.proj_a, t3.proj_m, t3.proj_b,
+               lambda x: tau(t3, x), lambda x: tau_inv(t3, x)):
+        with pytest.raises(MixedAlgebras):
+            fn(t3k1.proj_a(unit))
+    with pytest.raises(MixedAlgebras):
+        make_central(t3, t3.trace_functional(), t3.trace_functional(), unit)
+    with pytest.raises(MixedAlgebras):
+        peirce(t2, t3.alg.unit_element())
