@@ -18,22 +18,21 @@ decomposition and the checks share.  The product table {(i, j): {k: c}} is
 the algebra's own _prod.  Each algebra keeps one lazily filled cache, _cache,
 for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
 integer echelon form of the single-argument derivation system of each law
-kind (_derivations, built once per kind, from an integer copy of the table),
-each kind's echelon rows indexed by column (_derivation_columns, read by
-the solver's two-sided slice system), the center's coordinates and, for
-decomp.py, the bracket table by right factor (_factor_index of the
-bracket table), verify_decomposition's own index of the products by
-right factor (b_i*b_p, and b_p*b_i negated), and the echelon rows of
-the standard span S of Lie derivations (ad(T) plus the central maps)
-with their column index (_standard and _standard_columns, read by the
-law test), read off the product table and the center with no identity
-rows to solve.  One helper, _column_index, indexes both systems, and
-one, _times_basis, builds every row of x*b_p or b_p*x over the basis
-that any module needs.  The derivation identity is fed only at the
-pairs that meet a generating set G, read off the table's one-term
-products (_generators): the x at which a map obeys the identity against
-every y form a subalgebra (by associativity, or by the Jacobi identity
-for the bracket), so the rows at G span all the others.  Each identity row is built from an index of the table by left
+kind (_derivations, built once per kind, from an integer copy of the table,
+whose zero columns and rows the solver reads as they are), the center's
+coordinates and, for decomp.py, the bracket table by right factor
+(_factor_index of the bracket table), verify_decomposition's own index
+of the products by right factor (b_i*b_p, and b_p*b_i negated), and the
+echelon rows of the standard span S of Lie derivations (ad(T) plus the
+central maps) with their column index (_standard and _standard_columns,
+read by the law test), read off the product table and the center with
+no identity rows to solve.  One helper, _times_basis, builds every row
+of x*b_p or b_p*x over the basis that any module needs.  The derivation
+identity is fed only at the pairs that meet a generating set G, read off
+the table's one-term products (_generators): the x at which a map obeys
+the identity against every y form a subalgebra (by associativity, or by
+the Jacobi identity for the bracket), so the rows at G span all the
+others.  Each identity row is built from an index of the table by left
 and by right factor, made once per table (_factor_index), so it visits
 only the nonzero products, and the rows go through linalg.reduce_rows,
 which reduces no row of a component of columns that is already full.
@@ -440,13 +439,6 @@ def _column_index(rows):
         for col, v in zip(cols, vals):
             out.setdefault(col, []).append((cols[0], v))
     return {col: tuple(hits) for col, hits in out.items()}
-
-
-def _derivation_columns(alg, lie):
-    """_column_index of the rows of _derivations(alg, lie), built once per
-    algebra and law kind."""
-    return _cached(alg, ("derivation columns", lie),
-                   lambda a: _column_index(_derivations(a, lie)[1]))
 
 
 def _standard_system(alg):

@@ -10,25 +10,23 @@ derivations), keeps every vector a sparse {flat index: value} dict up to the
 stored maps, and emits its answer straight in the canonical kernel basis, so
 both routes agree exactly.  Both read the algebra's cached structure tables
 (algebra.py): the bracket or product table, and for solve_space the integer
-echelon rows of the derivation system and their column index.  solve_space
-reads the kernels of that system and of the two-sided slice system off
-their echelon rows as integer vectors, through linalg.integer_kernel, so
+echelon rows of the derivation system.  solve_space reads the derivation
+basis off those rows, and solves a two-sided law on that basis, through
+linalg.reduce_rows and linalg.integer_kernel in integers, so
 everything stays in ints until each map is divided by its trailing entry.
 That division is linalg.exact's, as is every coefficient a BilinearMap
 stores: an int where the trailing entry divides the value, which it
 nearly always does, and a Fraction only where it does not.  A one-sided
 law's maps are shifted copies of the derivation basis, so each
 derivation is divided by its trailing entry once and then shifted to
-every fixed index.  The two-sided slice system goes through
-linalg.reduce_rows, which reduces no row of a component of columns that
-is already full.
+every fixed index.
 lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
 basis quadruple on the bracket table; lemma31_residual is the
 Element-arithmetic reference it is tested against.
 """
 
 import enum
-from .algebra import (Element, _brackets, _combine, _derivation_columns, _derivations,
+from .algebra import (Element, _brackets, _combine, _derivations,
                       _factor_index, _identity_rows, _table, lie_bracket, multiply)
 from .linalg import SparseMatrix, exact, integer_kernel, reduce_rows
 
@@ -214,13 +212,12 @@ def solve_space(alg, law):
     fixed index l is a single-argument derivation, so every solution is
     Σ x[l][s]·D_s, D_s placed at l, over the integer derivation basis D_s
     (from the algebra's cached derivation system).  A one-sided law leaves
-    x free: its kernel is every unit vector (l, s).  A two-sided law cuts x
-    out by a system over the dim·nd slice coordinates, far smaller than the
-    naive dim³ system: one row per fixed index l and echelon row of the
-    derivation system, which is zero unless the echelon row has an entry at
-    some (a, k) with D_s(b_l) nonzero at k for some s.  The echelon rows are
-    read through their cached column index (algebra._derivation_columns),
-    so only the rows that meet l are built.
+    x free: its kernel is every unit vector (l, s).  A two-sided law is
+    solved in two stages on the derivations themselves (_two_sided_maps):
+    per l, the zero columns of the derivation system cut x[l] down to a
+    small kernel K_l, and the other echelon rows then couple the K_l in
+    one system of Σ dim K_l columns.  Nothing is reduced over the dim·nd
+    slice coordinates or the dim³ tensor entries.
 
     No dim³ reduction follows: x is nonzero at its last free column (l, s)
     and 0 at the other free ones, D_s is m_s at its last nonzero column f_s
@@ -236,67 +233,85 @@ def solve_space(alg, law):
     pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
     derivs = integer_kernel([(cols[0], dict(zip(cols, vals))) for cols, vals in rows],
                             pivots, dim * dim)
-    nd = len(derivs)
     first, second = law.slots
-    # D_s(b_a)_k lands at l·l_step + a·a_step + k: the fixed index l is the
-    # first tensor index, except for lie-deriv-1; either way the placing
-    # keeps the order of D_s's entries, so its last entry m_s stays last
-    l_step, a_step = (dim, dim * dim) if first and not second else (dim * dim, dim)
-    placed = [sorted((flat // dim * a_step + flat % dim, v) for flat, v in d.items())
-              for d in derivs]
-    if first != second:
-        # the kernel is every unit vector (l, s), and its map is D_s
-        # shifted by l·l_step: each D_s is divided by m_s once
+    if first == second:
+        maps = _two_sided_maps(zero, rows, derivs, dim)
+    else:
+        # D_s(b_a)_k lands at l·l_step + a·a_step + k: the fixed index l is
+        # the first tensor index, except for lie-deriv-1; either way the
+        # placing keeps the order of D_s's entries, so its last entry m_s
+        # stays last.  The kernel is every unit vector (l, s), and its map
+        # is D_s shifted by l·l_step: each D_s is divided by m_s once
+        l_step, a_step = (dim, dim * dim) if first else (dim * dim, dim)
+        placed = [sorted((flat // dim * a_step + flat % dim, v) for flat, v in d.items())
+                  for d in derivs]
         normed = [(d[-1][0], [(off, exact(v, d[-1][1])) for off, v in d]) for d in placed]
         maps = [(base + last, {base + off: q for off, q in d})
                 for base in range(0, dim * l_step, l_step) for last, d in normed]
-    else:
-        red = reduce_rows(_slice_rows(_derivation_columns(alg, law.lie), zero, derivs, dim),
-                          dim * nd)
-        maps = []
-        for x in integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim * nd):
-            vec = {}
-            for col, c in x.items():
-                l, s = divmod(col, nd)
-                base = l * l_step
-                for off, v in placed[s]:
-                    f = base + off
-                    vec[f] = vec[f] + c * v if f in vec else c * v
-            last = max(vec)
-            m = vec[last]
-            maps.append((last, {f: exact(v, m) for f, v in sorted(vec.items()) if v}))
     maps.sort(key=lambda pair: pair[0])
     return [BilinearMap._of(alg, vec) for _, vec in maps]
 
 
-def _slice_rows(index, zero, derivs, dim):
-    """The rows of the two-sided slice system, in integers: every
-    second-index slice Σ_s x[l][s]·D_s must itself be a derivation.  For
-    each fixed index l and echelon row of the derivation system (zero
-    columns as the row ((col, 1),)), the row sums v·D_s[l][k] over its
-    entries v at (a, k) into column a·nd + s.  The echelon rows are read
-    through their column index, so a row is built only where it meets
-    some k with D_s[l] nonzero at k; the rest are zero."""
+def _two_sided_maps(zero, rows, derivs, dim):
+    """The (last flat index, map) pairs of a two-sided law, each map
+    Σ_l G_l placed at the first index l, with G_l = Σ_s x[l][s]·D_s.
+
+    Every slice φ(., b_a) must be a derivation too.  Stage 1, per l: at
+    a zero column (l, k) of the derivation system, G_l(b_a) has no b_k
+    term for any a.  D_s is the one derivation nonzero at its free column
+    f_s = (a_s, k_s), so x[l][s] = 0 wherever (l, k_s) is a zero column;
+    the other D_s meet the rest of these conditions in a system of at
+    most nd columns, whose integer kernel is K_l.  Stage 2: each other
+    echelon row, at each b_a, is one row over the coordinates y of the
+    G_y spanning all the K_l, placed at their l: Σ dim K_l columns.  y
+    runs over l, then K_l's free column, so a y-kernel vector is nonzero
+    at its last free y and 0 at the other free ones, and so is its x at
+    the matching (l, s): it is the canonical x-kernel vector up to a
+    scalar, which the division by the last entry removes.
+    """
     nd = len(derivs)
-    at = [{} for _ in range(dim)]  # at[l][k] = [(s, D_s[l][k])]
-    for s, d in enumerate(derivs):
-        for flat, w in d.items():
-            l, k = divmod(flat, dim)
-            at[l].setdefault(k, []).append((s, w))
-    for by_k in at:
-        sums = {}  # pivot of the echelon row -> its row at this l
-        for k, terms in by_k.items():
-            for a in range(dim):
-                col = a * dim + k
-                for p, v in ((col, 1),) if zero[col] else index.get(col, ()):
-                    acc = sums.setdefault(p, {})
-                    for s, w in terms:
-                        c = a * nd + s
-                        acc[c] = acc[c] + v * w if c in acc else v * w
-        for p in sorted(sums):
-            out = {c: v for c, v in sums[p].items() if v}
-            if out:
-                yield out
+    free_k = [max(d) % dim for d in derivs]  # k_s of the free column f_s
+    gs = []  # y -> G_y placed at its l, {flat index: int}
+    for l in range(dim):
+        zeros = zero[l * dim:(l + 1) * dim]
+        forced = {s for s, k in enumerate(free_k) if zeros[k]}
+        at = {}  # (a, k) with (l, k) a zero column -> {s: D_s[a][k]}
+        for s, d in enumerate(derivs):
+            if s not in forced:
+                for f, w in d.items():
+                    if zeros[f % dim]:
+                        at.setdefault(f, {})[s] = w
+        red = reduce_rows(at.values(), nd)
+        base = l * dim * dim
+        for x in integer_kernel(zip(red.pivcols, red.pivrows), forced.union(red.pivcols), nd):
+            g = _combine([(c, derivs[s]) for s, c in x.items()])
+            gs.append({base + f: w for f, w in g.items()})
+    by_col = {}  # (l, k) -> [(a, y, G_y(b_l, b_a)_k)]
+    for y, g in enumerate(gs):
+        for f, w in g.items():
+            la, k = divmod(f, dim)
+            l, a = divmod(la, dim)
+            by_col.setdefault(l * dim + k, []).append((a, y, w))
+
+    def coupled():
+        for cols, vals in rows:
+            sums = {}  # a -> the row at b_a
+            for col, v in zip(cols, vals):
+                for a, y, w in by_col.get(col, ()):
+                    acc = sums.setdefault(a, {})
+                    acc[y] = acc[y] + v * w if y in acc else v * w
+            for acc in sums.values():
+                out = {y: v for y, v in acc.items() if v}
+                if out:
+                    yield out
+
+    red = reduce_rows(coupled(), len(gs))
+    maps = []
+    for x in integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), len(gs)):
+        vec = _combine([(c, gs[y]) for y, c in x.items()])
+        last = max(vec)
+        maps.append((last, {f: exact(vec[f], vec[last]) for f in sorted(vec)}))
+    return maps
 
 
 def make_inner(t, lam):

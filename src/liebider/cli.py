@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 
@@ -97,6 +98,13 @@ def _cmd_solve(args):
         path = os.path.join(args.outdir, f"map_{idx:0{width}d}.json")
         save_map(path, phi, fpr)
         files.append(path)
+    # map files of an earlier solve into this outdir would pass for this one's
+    stale = sorted(path for path in {os.path.join(args.outdir, name)
+                                     for name in os.listdir(args.outdir)
+                                     if re.fullmatch(r"map_\d+\.json", name)} - set(files)
+                   if os.path.isfile(path))
+    for path in stale:
+        os.remove(path)
     elapsed = time.perf_counter() - t0
     rank = alg.dim ** 3 - len(maps)
     lines = [
@@ -107,9 +115,12 @@ def _cmd_solve(args):
         f"outdir: {args.outdir}",
     ]
     lines += [f"file: {p}" for p in files]
+    lines += [f"removed: {p}" for p in stale]
     jdoc = {"algebra": args.algebra, "law": law.value,
             "dimension": len(maps), "rank": rank,
             "outdir": args.outdir, "files": files}
+    if stale:
+        jdoc["removed"] = stale
     _print_report(args.format, [f"elapsed_ms: {elapsed * 1000:.1f}"], lines, jdoc)
     return 0
 

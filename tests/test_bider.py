@@ -21,8 +21,9 @@ from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
                       multiply, nullspace, solve_space, upper_triangular,
                       verify_decomposition)
 from liebider import algebra as algebra_module
+from liebider import bider as bider_module
 from liebider.bider import lemma31_failures
-from liebider.linalg import RowReducer, canonical_basis, nullspace_from_reducer
+from liebider.linalg import RowReducer, canonical_basis, nullspace_from_reducer, reduce_rows
 
 ALL_LAWS = list(MapLaw)
 
@@ -201,13 +202,54 @@ def t3_reversed():
     return FiniteAlgebra(alg.dim, alg.basis_labels[::-1], items, alg.unit[::-1])
 
 
+def t3_mixed(x, y):
+    """T3 on its basis with b_x replaced by b_x + b_y: a product of two
+    basis elements may have two terms, or one on another index."""
+    alg = upper_triangular(3, 2).alg
+    basis = alg.basis()
+    basis[x] = basis[x] + basis[y]
+
+    def coords(v):  # the old b_x is the new b_x - b_y
+        c = list(v.coords)
+        c[y] -= c[x]
+        return c
+
+    items = [(i, j, k, v) for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+             for k, v in enumerate(coords(multiply(bi, bj))) if v]
+    labels = list(alg.basis_labels)
+    labels[x] += "+" + labels[y]
+    return FiniteAlgebra(alg.dim, labels, items, coords(alg.unit_element()))
+
+
+def unitriangular(alg):
+    """alg on the basis c_i = b_i + Σ_{j>i} u_ij·b_j, u_ij = (i + j) % 3 - 1:
+    a fixed change of basis after which few columns of the derivation
+    systems are zero (9 of 100 for T4's bracket, 58 before)."""
+    dim = alg.dim
+    u = [[int(i == j) or (j > i) * ((i + j) % 3 - 1) for j in range(dim)] for i in range(dim)]
+    basis = [alg.element(row) for row in u]
+
+    def coords(v):  # Σ_i c_i·u_ij = v_j, solved for j ascending
+        c = []
+        for j in range(dim):
+            c.append(v.coords[j] - sum(c[i] * u[i][j] for i in range(j)))
+        return c
+
+    items = [(i, j, k, v) for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+             for k, v in enumerate(coords(multiply(bi, bj))) if v]
+    return FiniteAlgebra(dim, alg.basis_labels, items, coords(alg.unit_element()))
+
+
 ECHELON_ALGEBRAS = {name: lambda make=make: make().alg for name, make in SOLVER_ALGEBRAS.items()}
 ECHELON_ALGEBRAS.update(t2=lambda: upper_triangular(2, 1).alg,
                         block22=lambda: block_upper_triangular([2, 2], 1).alg,
                         # a full 2×2 corner: lie-deriv-1 interleaves the
                         # shifted copies of its many derivations
                         block12=lambda: block_upper_triangular([1, 2], 1).alg,
-                        one=one_dim, t3_reversed=t3_reversed)
+                        one=one_dim, t3_reversed=t3_reversed,
+                        t3_e11_plus_e12=lambda: t3_mixed(0, 1),
+                        # E12·E23 = E13 is (E13 + E11) - E11, two terms on this basis
+                        t3_e13_plus_e11=lambda: t3_mixed(2, 0))
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.value)
@@ -301,19 +343,23 @@ def spanning_route(alg, law):
 
 
 LARGER_ALGEBRAS = {
-    "t4": lambda: upper_triangular(4, 2),
-    "t5k2": lambda: upper_triangular(5, 2),
-    "block221": lambda: block_upper_triangular([2, 2, 1], 1),
-    "t6k3": lambda: upper_triangular(6, 3),
+    "t4": lambda: upper_triangular(4, 2).alg,
+    "t5k2": lambda: upper_triangular(5, 2).alg,
+    "block221": lambda: block_upper_triangular([2, 2, 1], 1).alg,
+    "t6k3": lambda: upper_triangular(6, 3).alg,
     # a table with denominators: some coefficients stay Fractions
-    "t5k2_rescaled": exact_reference.rescaled_t5,
+    "t5k2_rescaled": lambda: exact_reference.rescaled_t5().alg,
+    # dense bases: the two-sided solve's coupled system carries nearly
+    # every condition, as few derivation columns are zero
+    "t4_unitriangular": lambda: unitriangular(upper_triangular(4, 2).alg),
+    "diamond_unitriangular": lambda: unitriangular(SOLVER_ALGEBRAS["diamond"]().alg),
 }
 
 
 @pytest.mark.parametrize("name", LARGER_ALGEBRAS)
 def test_solver_matches_spanning_route(name):
     # too large for the dim³ constraint system, but not for the spanning route
-    alg = LARGER_ALGEBRAS[name]().alg
+    alg = LARGER_ALGEBRAS[name]()
     for law in ALL_LAWS:
         space = solve_space(alg, law)
         assert [list(phi._flat.items()) for phi in space] == [
@@ -323,23 +369,24 @@ def test_solver_matches_spanning_route(name):
                    for phi in space for v in phi._flat.values())
 
 
-def t3_mixed(x, y):
-    """T3 on its basis with b_x replaced by b_x + b_y: a product of two
-    basis elements may have two terms, or one on another index."""
-    alg = upper_triangular(3, 2).alg
-    basis = alg.basis()
-    basis[x] = basis[x] + basis[y]
+@pytest.mark.parametrize("name,lie_cols,assoc_cols", [("t6k3", 89, 53), ("block221", 48, 31)])
+def test_two_sided_solve_couples_only_the_zero_column_kernels(monkeypatch, name, lie_cols,
+                                                              assoc_cols):
+    # the last and largest reduction is the coupled one, over Σ_l dim K_l
+    # columns; over the dim·nd slice coordinates it would have 546 and 420
+    # on T6 k=3, 323 and 272 on block [2,2,1]
+    alg = LARGER_ALGEBRAS[name]()
+    ncols = []
 
-    def coords(v):  # the old b_x is the new b_x - b_y
-        c = list(v.coords)
-        c[y] -= c[x]
-        return c
+    def recorded(rows, n):
+        ncols.append(n)
+        return reduce_rows(rows, n)
 
-    items = [(i, j, k, v) for i, bi in enumerate(basis) for j, bj in enumerate(basis)
-             for k, v in enumerate(coords(multiply(bi, bj))) if v]
-    labels = list(alg.basis_labels)
-    labels[x] += "+" + labels[y]
-    return FiniteAlgebra(alg.dim, labels, items, coords(alg.unit_element()))
+    monkeypatch.setattr(bider_module, "reduce_rows", recorded)
+    for law, want in ((MapLaw.LIE_BIDER, lie_cols), (MapLaw.ASSOC_BIDER, assoc_cols)):
+        ncols.clear()
+        solve_space(alg, law)
+        assert max(ncols) == ncols[-1] == want
 
 
 DERIVATION_ALGEBRAS = dict(
@@ -347,9 +394,6 @@ DERIVATION_ALGEBRAS = dict(
     # every unit of the 3×3 block is a one-term product of two others, so
     # the generators can only be found by pinning an index
     block31=lambda: block_upper_triangular([3, 1], 1).alg,
-    t3_e11_plus_e12=lambda: t3_mixed(0, 1),
-    # E12·E23 = E13 is (E13 + E11) - E11, two terms on this basis
-    t3_e13_plus_e11=lambda: t3_mixed(2, 0),
     # the 4-cycle poset 1<3, 1<4, 2<3, 2<4: its order complex is a circle,
     # which gives it one outer derivation
     crown=lambda: incidence_algebra(Poset(4, [(1, 3), (1, 4), (2, 3), (2, 4)]), [1, 2]).alg)
@@ -577,8 +621,7 @@ def test_decompose_builds_no_derivation_system(monkeypatch):
     # table and the center; the Lie derivation system is solve_space's
     t = upper_triangular(3, 2)
     maps = solve_space(t.alg, MapLaw.LIE_BIDER)
-    for key in (("derivations", True), ("derivation columns", True)):
-        del t.alg._cache[key]
+    del t.alg._cache[("derivations", True)]
 
     def refuse(alg, lie):
         raise AssertionError("the derivation system was built")

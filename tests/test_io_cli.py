@@ -228,6 +228,38 @@ def test_solve_writes_map_files(tmp_path, capsys, t3_file):
     assert len(files) == 11
 
 
+def test_solve_removes_stale_map_files(tmp_path, capsys, t3_file):
+    # the 48 lie-deriv-1 maps, then the 11 lie-bider maps into the same
+    # outdir: map_011 .. map_047 would pass for lie-bider maps
+    outdir = tmp_path / "maps"
+    code, fresh, _ = run_cli(capsys, "solve", t3_file, "--law", "lie-bider",
+                             "--outdir", str(outdir))
+    assert code == 0 and not any(ln.startswith("removed: ") for ln in fresh)
+    run_cli(capsys, "solve", t3_file, "--law", "lie-deriv-1", "--outdir", str(outdir))
+    (outdir / "map_7.json").write_text("{}")  # any map_<digits>.json
+    (outdir / "notes.json").write_text("{}")
+    (outdir / "map_999.json").mkdir()
+    code, lines, _ = run_cli(capsys, "solve", t3_file, "--law", "lie-bider",
+                             "--outdir", str(outdir))
+    assert code == 0
+    stale = [str(outdir / name) for name in
+             ["map_7.json"] + [f"map_{i:03d}.json" for i in range(11, 48)]]
+    assert body(lines) == body(fresh) + [f"removed: {p}" for p in sorted(stale)]
+    assert sorted(p.name for p in outdir.iterdir()) == (
+        [f"map_{i:03d}.json" for i in range(11)] + ["map_999.json", "notes.json"])
+    code, lines, _ = run_cli(capsys, "decompose", t3_file, stale[-1])
+    assert code == 2
+    # the JSON report names them under "removed", a key a fresh outdir omits
+    run_cli(capsys, "solve", t3_file, "--law", "lie-deriv-1", "--outdir", str(outdir))
+    _, lines, _ = run_cli(capsys, "solve", t3_file, "--law", "lie-bider",
+                          "--outdir", str(outdir), "--format", "json")
+    doc = json.loads("\n".join(body(lines)))
+    assert doc["removed"] == sorted(stale[1:])
+    _, lines, _ = run_cli(capsys, "solve", t3_file, "--law", "lie-bider",
+                          "--outdir", str(outdir), "--format", "json")
+    assert "removed" not in json.loads("\n".join(body(lines)))
+
+
 def test_decompose_solved_map(tmp_path, capsys, t3_file, t3):
     outdir = str(tmp_path / "maps")
     run_cli(capsys, "solve", t3_file, "--law", "lie-bider",
