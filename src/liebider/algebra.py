@@ -19,26 +19,29 @@ the algebra's own _prod.  Each algebra keeps one lazily filled cache, _cache,
 for what is derived from it: the bracket table [b_i, b_j] (_brackets), the
 integer echelon form of the single-argument derivation system of each law
 kind (_derivations, built once per kind, from an integer copy of the table,
-whose zero columns and rows the solver reads as they are), the center's
-coordinates and, for decomp.py, the bracket table by right factor
-(_factor_index of the bracket table), verify_decomposition's own index
-of the products by right factor (b_i*b_p, and b_p*b_i negated), and the
-echelon rows of the standard span S of Lie derivations (ad(T) plus the
-central maps) with their column index (_standard and _standard_columns,
-read by the law test), read off the product table and the center with
-no identity rows to solve.  One helper, _times_basis, builds every row
-of x*b_p or b_p*x over the basis that any module needs.  The derivation
-identity is fed only at the pairs that meet a generating set G, read off
-the table's one-term products (_generators): the x at which a map obeys
-the identity against every y form a subalgebra (by associativity, or by
-the Jacobi identity for the bracket), so the rows at G span all the
-others.  Each identity row is built from an index of the table by left
-and by right factor, made once per table (_factor_index), so it visits
-only the nonzero products, and the rows go through linalg.reduce_rows,
-which reduces no row of a component of columns that is already full.
-Cached values are ints, Fractions, bytes, dicts, lists and tuples only,
-never Elements or the algebra itself, so an algebra stays free of
-reference cycles.  They are shared, not copied: callers read them and
+whose zero columns and rows the solver reads as they are) and the integer
+derivation basis read off it (_derivation_basis, also once per kind), the
+center's coordinates and, for decomp.py, the bracket table by right
+factor, verify_decomposition's own index of the products by right factor
+(b_i*b_p, and b_p*b_i negated), and the echelon rows of the standard span
+S of Lie derivations (ad(T) plus the central maps) with their column
+index (_standard and _standard_columns, read by the law test), read off
+the product table and the center with no identity rows to solve.  One
+helper, _times_basis, builds every row of x*b_p or b_p*x over the basis
+that any module needs.  The derivation identity is fed only at the pairs
+that meet a generating set G, read off the table's one-term products
+(_generators): the x at which a map obeys the identity against every y
+form a subalgebra (by associativity, or by the Jacobi identity for the
+bracket), so the rows at G span all the others.  Each identity row is
+read from an index of the table by factor and output coordinate, made
+once per table (_factor_index), so it visits only the nonzero products
+and its terms are counted before it is built.  A row of one term only
+says that its column is zero: it sets that column and is not built.
+The other rows, less their known zero columns, go through
+linalg.reduce_rows, which reduces no row of a component of columns that
+is already full.  Cached values are ints, Fractions, bytes, dicts, lists
+and tuples only, never Elements or the algebra itself, so an algebra
+stays free of reference cycles.  They are shared, not copied: callers read them and
 never change them.  Element arithmetic (multiply, lie_bracket) stays
 independent of the tables, for the checks that recompute from the
 structure constants.
@@ -306,40 +309,49 @@ def _table(alg, lie):
 
 
 def _factor_index(tab):
-    """The entries of tab by factor, for _identity_rows and decomp's
-    bracket table by right factor: (left, right) with left[a] the
-    (k, b_a o b_k) and right[c] the (k, b_k o b_c) over tab's nonzero
-    rows, k ascending."""
+    """The entries of tab by factor and output coordinate, for
+    _identity_rows: (left, right) with left[a][q] the (k, (b_a o b_k)_q)
+    and right[c][q] the (k, (b_k o b_c)_q) over tab's nonzero entries, k
+    ascending.  Each such list is the terms that one side of the identity
+    puts in the row at q, so the terms of a row are counted before it is
+    built."""
     left, right = {}, {}
     for (i, j), row in sorted(tab.items()):
-        left.setdefault(i, []).append((j, row))
-        right.setdefault(j, []).append((i, row))
+        for q, v in row.items():
+            left.setdefault(i, {}).setdefault(q, []).append((j, v))
+            right.setdefault(j, {}).setdefault(q, []).append((i, v))
     return left, right
 
 
-def _identity_rows(tab, index, dim, a, c):
+def _identity_rows(tab, index, dim, a, c, zero=None):
     """The derivation identity d(b_a o b_c) - d(b_a) o b_c - b_a o d(b_c),
     o read from tab, over the unknowns d[a'][k] (flat a'*dim + k, with
     d(b_a') = sum_k d[a'][k] b_k): one (q, {unknown: coefficient}) row per
     output coordinate q, ascending, zero rows left out.  index is
     _factor_index(tab), made once per table by the caller, so only the
-    nonzero b_k o b_c and b_a o b_k are visited."""
+    nonzero b_k o b_c and b_a o b_k are visited.
+
+    Row q has one term per entry of b_a o b_c and of the two lists at q in
+    index.  When zero (a bytearray over the unknowns) is given, a row of
+    exactly one term is not built: it only says that its unknown is 0, so
+    its column is set in zero instead."""
     left, right = index
-    rows = {}
-    for p, v in tab.get((a, c), {}).items():
-        for q in range(dim):
-            row = rows.setdefault(q, {})
-            col = p * dim + q
-            row[col] = row[col] + v if col in row else v
-    for base, terms in ((a * dim, right.get(c, ())), (c * dim, left.get(a, ()))):
-        for k, prod in terms:
-            col = base + k
-            for q, v in prod.items():
-                row = rows.setdefault(q, {})
-                row[col] = row[col] - v if col in row else -v
+    none = {}
+    prod = tab.get((a, c), none)
+    by_k, by_a = right.get(c, none), left.get(a, none)
     out = []
-    for q in sorted(rows):
-        row = {col: v for col, v in rows[q].items() if v}
+    for q in range(dim) if prod else sorted(by_k.keys() | by_a.keys()):
+        rk, ra = by_k.get(q, ()), by_a.get(q, ())
+        if zero is not None and len(prod) + len(rk) + len(ra) == 1:
+            zero[next(iter(prod)) * dim + q if prod else
+                 a * dim + rk[0][0] if rk else c * dim + ra[0][0]] = 1
+            continue
+        row = {p * dim + q: v for p, v in prod.items()}
+        for base, terms in ((a * dim, rk), (c * dim, ra)):
+            for k, v in terms:
+                col = base + k
+                row[col] = row[col] - v if col in row else -v
+        row = {col: v for col, v in row.items() if v}
         if row:
             out.append((q, row))
     return out
@@ -377,20 +389,27 @@ def _derivation_system(alg, lie):
     """Echelon form of the single-argument derivation law, in integers.
 
     The identity rows at the basis pairs (a, c) with a in the _generators G
-    of the table, o the bracket or the product, reduced; for the bracket,
-    the pairs a < c with a or c in G (the (c, a) rows are the (a, c) rows
-    negated, and the (a, a) rows vanish).  These span every identity row:
-    for a linear d, the x with d(x o y) = d(x) o y + x o d(y) for every y
-    form a subspace closed under o, by associativity for the product and
-    by the Jacobi identity for the bracket.  It holds G, so it is the
-    whole algebra, and a d that meets the G rows is a derivation.  The
-    unique reduced echelon form is therefore that of all dim² pairs.  The
-    rows are built from an integer copy of the table, the table times the
-    lcm of its denominators: each identity term carries exactly one table
+    of the table, o the bracket or the product; for the bracket, the pairs
+    a < c with a or c in G (the (c, a) rows are the (a, c) rows negated,
+    and the (a, a) rows vanish).  These span every identity row: for a
+    linear d, the x with d(x o y) = d(x) o y + x o d(y) for every y form a
+    subspace closed under o, by associativity for the product and by the
+    Jacobi identity for the bracket.  It holds G, so it is the whole
+    algebra, and a d that meets the G rows is a derivation.  The unique
+    reduced echelon form is therefore that of all dim² pairs.  The rows
+    are built from an integer copy of the table, the table times the lcm
+    of its denominators: each identity term carries exactly one table
     factor, so every row scales by that one factor and its span is
-    unchanged.  The integer rows go through linalg.reduce_rows as they
-    are, so the rows of a component of columns that is already full are
-    not reduced.
+    unchanged.
+
+    Most rows have one term, counted off _factor_index's per-coordinate
+    lists before the row is built, and only say that its column is zero:
+    _identity_rows sets that column and builds no row.  Every other row
+    drops its known zero columns, which is exact since those unknowns are
+    0, and the nonempty rows left go through linalg.reduce_rows, which
+    reduces no row of a component of columns that is already full.  The
+    zero columns' unit rows and the reducer's rows together are the same
+    unique echelon form.
 
     Returns (zero, rows).  An echelon row with one entry only says that
     its column vanishes: zero[col] is 1 for those columns and 0 elsewhere.
@@ -403,16 +422,20 @@ def _derivation_system(alg, lie):
     tab = _integer_table(_table(alg, lie))
     index = _factor_index(tab)
     gens = set(_generators(tab, dim))
-    red = reduce_rows((row for a in range(dim) for c in range(a + 1 if lie else 0, dim)
-                       if a in gens or lie and c in gens
-                       for _, row in _identity_rows(tab, index, dim, a, c)), dim * dim)
-    return _echelon_system(red.pivrows, dim * dim)
+    zero = bytearray(dim * dim)
+    rows = [row for a in range(dim) for c in range(a + 1 if lie else 0, dim)
+            if a in gens or lie and c in gens
+            for _, row in _identity_rows(tab, index, dim, a, c, zero)]
+    kept = ({col: v for col, v in row.items() if not zero[col]} for row in rows)
+    red = reduce_rows((row for row in kept if row), dim * dim)
+    return _echelon_system(red.pivrows, zero)
 
 
-def _echelon_system(rows, ncols):
+def _echelon_system(rows, zero):
     """(zero, rows) as _derivation_system returns them, from gcd-normalized
-    integer echelon rows {col: int} in any order."""
-    zero = bytearray(ncols)
+    integer echelon rows {col: int} in any order and a bytearray over the
+    columns with the zero columns found so far set; a row of one entry
+    sets its column there too."""
     out = []
     for row in rows:
         if len(row) == 1:
@@ -426,6 +449,22 @@ def _echelon_system(rows, ncols):
 def _derivations(alg, lie):
     """_derivation_system(alg, lie), built once per algebra and law kind."""
     return _cached(alg, ("derivations", lie), lambda a: _derivation_system(a, lie))
+
+
+def _derivation_kernel(alg, lie):
+    """The integer derivation basis D_s of the law kind, read off
+    _derivations(alg, lie) by linalg.integer_kernel: one {col: int} vector
+    per free column, ascending, nonzero at that column and 0 at the other
+    free ones."""
+    zero, rows = _derivations(alg, lie)
+    pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
+    return integer_kernel([(cols[0], dict(zip(cols, vals))) for cols, vals in rows],
+                          pivots, alg.dim * alg.dim)
+
+
+def _derivation_basis(alg, lie):
+    """_derivation_kernel(alg, lie), built once per algebra and law kind."""
+    return _cached(alg, ("derivation basis", lie), lambda a: _derivation_kernel(a, lie))
 
 
 def _column_index(rows):
@@ -480,7 +519,7 @@ def _standard_system(alg):
         den = lcm(*(c.denominator for c in z))
         z = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(z) if c]
         span.extend({a * dim + k: v * c for a, v in f.items() for k, c in z} for f in functionals)
-    return _echelon_system(annihilator(span, dim * dim), dim * dim)
+    return _echelon_system(annihilator(span, dim * dim), bytearray(dim * dim))
 
 
 def _standard(alg):

@@ -10,23 +10,23 @@ derivations), keeps every vector a sparse {flat index: value} dict up to the
 stored maps, and emits its answer straight in the canonical kernel basis, so
 both routes agree exactly.  Both read the algebra's cached structure tables
 (algebra.py): the bracket or product table, and for solve_space the integer
-echelon rows of the derivation system.  solve_space reads the derivation
-basis off those rows, and solves a two-sided law on that basis, through
-linalg.reduce_rows and linalg.integer_kernel in integers, so
-everything stays in ints until each map is divided by its trailing entry.
-That division is linalg.exact's, as is every coefficient a BilinearMap
-stores: an int where the trailing entry divides the value, which it
-nearly always does, and a Fraction only where it does not.  A one-sided
-law's maps are shifted copies of the derivation basis, so each
-derivation is divided by its trailing entry once and then shifted to
-every fixed index.
+echelon rows of the derivation system and the derivation basis read off
+them, both cached per law kind.  solve_space solves a two-sided law on
+that basis, through linalg.reduce_rows and linalg.integer_kernel in
+integers, so everything stays in ints until each map is divided by its
+trailing entry.  That division is linalg.exact's, as is every
+coefficient a BilinearMap stores: an int where the trailing entry
+divides the value, which it nearly always does, and a Fraction only
+where it does not.  A one-sided law's maps are shifted copies of the
+derivation basis, so each derivation is divided by its trailing entry
+once and then shifted to every fixed index.
 lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
 basis quadruple on the bracket table; lemma31_residual is the
 Element-arithmetic reference it is tested against.
 """
 
 import enum
-from .algebra import (Element, _brackets, _combine, _derivations,
+from .algebra import (Element, _brackets, _combine, _derivation_basis, _derivations,
                       _factor_index, _identity_rows, _table, lie_bracket, multiply)
 from .linalg import SparseMatrix, exact, integer_kernel, reduce_rows
 
@@ -210,14 +210,15 @@ def solve_space(alg, law):
 
     A slot obeys its law iff every slice of the tensor along that slot's
     fixed index l is a single-argument derivation, so every solution is
-    Σ x[l][s]·D_s, D_s placed at l, over the integer derivation basis D_s
-    (from the algebra's cached derivation system).  A one-sided law leaves
-    x free: its kernel is every unit vector (l, s).  A two-sided law is
-    solved in two stages on the derivations themselves (_two_sided_maps):
-    per l, the zero columns of the derivation system cut x[l] down to a
-    small kernel K_l, and the other echelon rows then couple the K_l in
-    one system of Σ dim K_l columns.  Nothing is reduced over the dim·nd
-    slice coordinates or the dim³ tensor entries.
+    Σ x[l][s]·D_s, D_s placed at l, over the integer derivation basis D_s.
+    That basis is cached next to the algebra's derivation system, so it is
+    read off the echelon rows once per law kind, not once per law.  A
+    one-sided law leaves x free: its kernel is every unit vector (l, s).
+    A two-sided law is solved in two stages on the derivations themselves
+    (_two_sided_maps): per l, the zero columns of the derivation system
+    cut x[l] down to a small kernel K_l, and the other echelon rows then
+    couple the K_l in one system of Σ dim K_l columns.  Nothing is reduced
+    over the dim·nd slice coordinates or the dim³ tensor entries.
 
     No dim³ reduction follows: x is nonzero at its last free column (l, s)
     and 0 at the other free ones, D_s is m_s at its last nonzero column f_s
@@ -230,9 +231,7 @@ def solve_space(alg, law):
     """
     dim = alg.dim
     zero, rows = _derivations(alg, law.lie)
-    pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
-    derivs = integer_kernel([(cols[0], dict(zip(cols, vals))) for cols, vals in rows],
-                            pivots, dim * dim)
+    derivs = _derivation_basis(alg, law.lie)
     first, second = law.slots
     if first == second:
         maps = _two_sided_maps(zero, rows, derivs, dim)

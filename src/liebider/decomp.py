@@ -84,7 +84,7 @@ instead of silently picking a side.
 
 from math import lcm
 
-from .algebra import (_brackets, _cached, _combine, _factor_index, _standard, _standard_columns,
+from .algebra import (_brackets, _cached, _combine, _standard, _standard_columns,
                       _times_basis)
 from .bider import BilinearMap
 from .linalg import _sparse, exact
@@ -156,8 +156,15 @@ def _lambda_system(t):
 
 def _brackets_by_right(alg):
     """The bracket table by right factor, in the form _extremal reads:
-    {p: [(i, [b_i, b_p]), ...]}, built once per algebra."""
-    return _cached(alg, "brackets by right", lambda a: _factor_index(_brackets(a))[1])
+    {p: [(i, [b_i, b_p]), ...]}, i ascending, built once per algebra."""
+    return _cached(alg, "brackets by right", _by_right)
+
+
+def _by_right(alg):
+    out = {}
+    for (i, p), row in _brackets(alg).items():
+        out.setdefault(p, []).append((i, row))
+    return out
 
 
 def _extremal(by_right, r):

@@ -137,18 +137,6 @@ class RowReducer:
         self._row_of_col = {}      # pivot col -> row index
         self._col_index = {}       # col -> set of row indices with support there
 
-    def _unindex(self, ri, cols):
-        for c in cols:
-            s = self._col_index.get(c)
-            if s is not None:
-                s.discard(ri)
-                if not s:
-                    del self._col_index[c]
-
-    def _index(self, ri, cols):
-        for c in cols:
-            self._col_index.setdefault(c, set()).add(ri)
-
     def reduce_only(self, row):
         """Reduce an integer row dict against the pivot set without installing it."""
         # pivot rows hold no other pivot columns, so the initial hit list is
@@ -186,14 +174,17 @@ class RowReducer:
             return None
         piv = min(row)
         ri = len(self.pivrows)
-        # eliminate the new pivot column from every older row that has it
-        holders = self._col_index.get(piv)
+        # eliminate the new pivot column from every older row that has it.
+        # Only row's columns can enter or leave such a row, so the column
+        # index is updated there as each one changes; piv leaves every
+        # holder, so its entry empties and goes
+        index = self._col_index
+        holders = index.get(piv)
         if holders:
             pv = row[piv]
             for rj in sorted(holders):
                 old = self.pivrows[rj]
                 oc = old[piv]
-                before = set(old)
                 # old := pv*old - oc*row, scaling all of old first
                 if pv != 1:
                     for cc in old:
@@ -201,17 +192,21 @@ class RowReducer:
                 for cc, vv in row.items():
                     nv = old.get(cc, 0) - vv * oc
                     if nv:
+                        if cc not in old:
+                            index.setdefault(cc, set()).add(rj)
                         old[cc] = nv
                     else:
-                        old.pop(cc, None)
+                        del old[cc]
+                        held = index[cc]
+                        held.discard(rj)
+                        if not held:
+                            del index[cc]
                 _normalize(old)
-                self._unindex(rj, before - set(old))
-                self._index(rj, set(old) - before)
-            self._col_index.pop(piv, None)
         self.pivrows.append(row)
         self.pivcols.append(piv)
         self._row_of_col[piv] = ri
-        self._index(ri, row)
+        for cc in row:
+            index.setdefault(cc, set()).add(ri)
         return piv
 
     @staticmethod

@@ -220,6 +220,51 @@ def test_reduce_only_reports_dependence():
     assert red.reduce_only({0: 1}) != {}
 
 
+@st.composite
+def reducer_feeds(draw):
+    """(rows, ncols): small integer rows, some with one term and some a
+    combination of two earlier rows, which cancels in the reducer."""
+    ncols = draw(st.integers(1, 6))
+    nonzero = st.integers(-6, 6).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["sparse", "one", "combination"]))
+        if kind == "combination" and rows:
+            r, s = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(nonzero), draw(st.integers(-3, 3))
+            row = {c: a * r.get(c, 0) + b * s.get(c, 0) for c in r.keys() | s.keys()}
+            row = {c: v for c, v in row.items() if v}
+        elif kind == "one":
+            row = {draw(st.integers(0, ncols - 1)): draw(nonzero)}
+        else:
+            row = draw(st.dictionaries(st.integers(0, ncols - 1), nonzero, min_size=1))
+        if row:
+            rows.append(row)
+    return rows, ncols
+
+
+@settings(max_examples=200)
+@given(reducer_feeds())
+def test_add_row_keeps_the_column_index_and_the_echelon_form(feed):
+    rows, ncols = feed
+    red = RowReducer(ncols)
+    for n, row in enumerate(rows):
+        piv = red.add_row(dict(row))
+        if piv is not None:  # the row just installed is the last
+            assert red.pivcols[-1] == piv == min(red.pivrows[-1])
+        # every column lists exactly the rows that hold it: a pivot column
+        # only its own row, since the rows stay inter-reduced
+        holders = {}
+        for ri, pr in enumerate(red.pivrows):
+            for c in pr:
+                holders.setdefault(c, set()).add(ri)
+        assert red._col_index == holders
+        dense = [[r.get(c, 0) for c in range(ncols)] for r in rows[:n + 1]]
+        got = sorted((pc, [pr.get(c, 0) for c in range(ncols)])
+                     for pc, pr in zip(red.pivcols, red.pivrows))
+        assert got == dense_rref(dense)
+
+
 # -- reduce_rows --------------------------------------------------------------
 
 def fed_rows(rows, ncols):
