@@ -4,9 +4,9 @@ An algebra is a basis b_0..b_{dim-1} plus the sparse tensor c[i][j][k] with
 b_i b_j = sum_k c[i][j][k] b_k and the coordinates of the unit.  Construction
 checks the unit law and then associativity on every basis triple, so anything
 that survives the constructor really is an associative unital algebra.  The
-associativity check runs on an integer copy of the sparse table and visits
-only the nonzero products, so its cost grows with the number of nonzero
-(b_i b_j) b_l and b_i (b_j b_l) terms, not with dim**3.  The table, the
+associativity check runs on an integer copy of the sparse table, one left
+factor at a time, and visits only the chains of nonzero products, so its cost
+grows with the number of nonzero (b_i b_j) b_l and b_i (b_j b_l) terms.  The table, the
 unit and every Element coordinate hold their values as linalg.exact
 stores them: an int when the value is integral, as every constructor's
 table is, and a Fraction only when it is not.  So the checks, the
@@ -100,7 +100,6 @@ class FiniteAlgebra:
         return self._prod.get((i, j), {})
 
     def _validate(self):
-        dim = self.dim
         # unit law on basis vectors, over the unit's support
         lefts = _times_basis(self, self.unit, True)
         rights = _times_basis(self, self.unit, False)
@@ -112,30 +111,34 @@ class FiniteAlgebra:
                 raise ValueError(f"unit fails on the right at basis {i}")
         # associativity on the integer table, the table times the lcm den
         # of its denominators: both sides of (b_i b_j) b_l = b_i (b_j b_l)
-        # carry two table factors, so both scale by den**2.  For each pair
-        # (i, j), diff[l, m] collects coordinate m of the left side minus
-        # the right side for every l at once, from the nonzero products
-        # only (a triple without one has both sides zero); the smallest l
-        # with a nonzero entry is the first failing triple.
+        # carry two table factors, so both scale by den**2.  One left
+        # factor i at a time, ascending, over the i with a nonzero b_i b_j:
+        # diff[j, l, m] is coordinate m of the left side, from each
+        # b_i b_j = sum c_k b_k and b_k b_l, minus the right side, from each
+        # b_i b_k and the b_j b_l with a b_k term (makers[k]).  The smallest
+        # (j, l) with a nonzero entry is the first failing triple.
         tab = _integer_table(self._prod)
-        right_of = [[] for _ in range(dim)]
-        for (k, l), row in sorted(tab.items()):
-            right_of[k].append((l, row))
-        none = {}
-        for i in range(dim):
-            for j in range(dim):
-                diff = {}
-                for k, v in tab.get((i, j), none).items():
-                    for l, row in right_of[k]:
-                        for m, w in row.items():
-                            diff[l, m] = diff.get((l, m), 0) + v * w
-                for l, row in right_of[j]:
-                    for k, v in row.items():
-                        for m, w in tab.get((i, k), none).items():
-                            diff[l, m] = diff.get((l, m), 0) - v * w
-                bad = [l for (l, _), v in diff.items() if v]
-                if bad:
-                    raise ValueError(f"not associative at basis triple ({i},{j},{min(bad)})")
+        rows_of, makers = {}, {}
+        for (j, l), row in tab.items():
+            rows_of.setdefault(j, []).append((l, row))
+            for k, v in row.items():
+                makers.setdefault(k, []).append((j, l, v))
+        none = ()
+        for i in sorted(rows_of):
+            diff = {}
+            for j, row in rows_of[i]:
+                for k, v in row.items():
+                    for l, krow in rows_of.get(k, none):
+                        for m, w in krow.items():
+                            diff[j, l, m] = diff.get((j, l, m), 0) + v * w
+            for k, irow in rows_of[i]:
+                for j, l, v in makers.get(k, none):
+                    for m, w in irow.items():
+                        diff[j, l, m] = diff.get((j, l, m), 0) - v * w
+            bad = [key for key, v in diff.items() if v]
+            if bad:
+                j, l, _ = min(bad)
+                raise ValueError(f"not associative at basis triple ({i},{j},{l})")
 
     def structure_items(self):
         """Structure constants as a sorted list of (i, j, k, value)."""
@@ -265,11 +268,18 @@ def _combine(terms):
 
 def _times_basis(alg, x, left):
     """[x*b_p for every p] as sparse rows if left, else [b_p*x], x given
-    by its coordinates: the one builder of such rows."""
-    terms = [(a, c) for a, c in enumerate(x) if c]
-    mul = alg._mul_basis
-    return [_combine([(c, mul(a, p) if left else mul(p, a)) for a, c in terms])
-            for p in range(alg.dim)]
+    by its coordinates: the one builder of such rows, in one pass over the
+    product table."""
+    out = [{} for _ in range(alg.dim)]
+    for (a, p), row in alg._prod.items():
+        if not left:
+            a, p = p, a
+        c = x[a]
+        if c:
+            acc = out[p]
+            for k, v in row.items():
+                acc[k] = acc[k] + c * v if k in acc else c * v
+    return [{k: v for k, v in acc.items() if v} for acc in out]
 
 
 def _cached(alg, key, build):
@@ -291,7 +301,10 @@ def _bracket_table(alg):
     prod = alg._prod
     tab = {}
     for i, j in sorted(prod.keys() | {(j, i) for i, j in prod}):
-        row = _combine([(1, prod.get((i, j), {})), (-1, prod.get((j, i), {}))])
+        row = dict(prod.get((i, j), {}))
+        for k, v in prod.get((j, i), {}).items():
+            row[k] = row[k] - v if k in row else -v
+        row = {k: v for k, v in row.items() if v}
         if row:
             tab[(i, j)] = row
     return tab

@@ -5,11 +5,11 @@ round-trips bit-exactly.  An algebra file carries the full structure
 constant table and is revalidated on load: the unit and associativity
 checks on the sparse integer table, and, for a file with its idempotent,
 the Peirce split and the center.  Every CLI command reloads its algebra
-file, so each pays that once; it grows with the nonzero products, not
-with dim**3.  Map files do not repeat the algebra; they carry a
-content-hash fingerprint of the algebra document instead, because a
-coefficient tensor is meaningless under any other basis ordering and a
-silent mismatch is the likeliest user error.
+file, so each pays that once; it grows with the chains of nonzero
+products (b_i b_j) b_l, not with dim**3.  Map files do not repeat the
+algebra; they carry a content-hash fingerprint of the algebra document
+instead, because a coefficient tensor is meaningless under any other
+basis ordering and a silent mismatch is the likeliest user error.
 """
 
 import hashlib

@@ -34,6 +34,38 @@ from liebider import (BilinearMap, Decomposition, Inconsistent, MapLaw,
 
 # -- algebra construction ------------------------------------------------------
 
+def _dense_table(structure):
+    table = {}
+    for i, j, k, v in structure:
+        if v:
+            table.setdefault((i, j), {})[k] = Fraction(v)
+    return table
+
+
+def associativity_failures(dim, structure):
+    """Every basis triple (i, j, l) with (b_i b_j) b_l != b_i (b_j b_l), in
+    lexicographic order, from all dim**3 triples in Fraction arithmetic."""
+    table = _dense_table(structure)
+
+    def mul(i, j):
+        return table.get((i, j), {})
+
+    for i in range(dim):
+        for j in range(dim):
+            ij = mul(i, j)
+            for l in range(dim):
+                lhs = {}
+                for k, v in ij.items():
+                    for m, w in mul(k, l).items():
+                        lhs[m] = lhs.get(m, 0) + v * w
+                rhs = {}
+                for k, v in mul(j, l).items():
+                    for m, w in mul(i, k).items():
+                        rhs[m] = rhs.get(m, 0) + v * w
+                if {m: v for m, v in lhs.items() if v} != {m: v for m, v in rhs.items() if v}:
+                    yield i, j, l
+
+
 def validate(dim, structure, unit):
     """Reference for FiniteAlgebra's unit and associativity checks.
 
@@ -42,10 +74,7 @@ def validate(dim, structure, unit):
     lexicographic order, in Fraction arithmetic.  Raises ValueError with
     the library's message at the first failure.
     """
-    table = {}
-    for i, j, k, v in structure:
-        if v:
-            table.setdefault((i, j), {})[k] = Fraction(v)
+    table = _dense_table(structure)
 
     def mul(i, j):
         return table.get((i, j), {})
@@ -66,20 +95,8 @@ def validate(dim, structure, unit):
             raise ValueError(f"unit fails on the left at basis {i}")
         if {k: v for k, v in right.items() if v} != want:
             raise ValueError(f"unit fails on the right at basis {i}")
-    for i in range(dim):
-        for j in range(dim):
-            ij = mul(i, j)
-            for l in range(dim):
-                lhs = {}
-                for k, v in ij.items():
-                    for m, w in mul(k, l).items():
-                        lhs[m] = lhs.get(m, 0) + v * w
-                rhs = {}
-                for k, v in mul(j, l).items():
-                    for m, w in mul(i, k).items():
-                        rhs[m] = rhs.get(m, 0) + v * w
-                if {m: v for m, v in lhs.items() if v} != {m: v for m, v in rhs.items() if v}:
-                    raise ValueError(f"not associative at basis triple ({i},{j},{l})")
+    for i, j, l in associativity_failures(dim, structure):
+        raise ValueError(f"not associative at basis triple ({i},{j},{l})")
 
 
 def _kills(alg, actors, m_idx, side):

@@ -8,7 +8,9 @@ Element arithmetic.  Both must accept or reject the same inputs with the
 same message, and on accepted inputs give the same Peirce indices and the
 same center: on the oracle algebras, on a table with a non-integer
 constant, on rescaled bases (valid tables with mixed denominators) and on
-seeded changes to the structure constants, the unit and e.
+seeded changes to the structure constants, the unit and e.  With several
+constants changed at once, so that several triples fail, the library
+must name the reference's first failing triple.
 """
 
 from fractions import Fraction
@@ -19,11 +21,13 @@ import re
 import pytest
 
 import dense_oracle
-from liebider import FiniteAlgebra, TriangularAlgebra
+from liebider import FiniteAlgebra, TriangularAlgebra, block_upper_triangular, upper_triangular
 from test_bider import t3_scaled
 from test_decompose_oracle import ALGEBRAS
 
-CASES = dict(ALGEBRAS, t3_scaled=t3_scaled)
+# block [2,2,1] and T6 k=3 are the algebras of the benchmark's solve-laws
+CASES = dict(ALGEBRAS, t3_scaled=t3_scaled, t6=lambda: upper_triangular(6, 3),
+             block221=lambda: block_upper_triangular([2, 2, 1], 1))
 DELTAS = [Fraction(d) for d in (1, -1, 2, "1/2", "-1/3", "3/2")]
 
 
@@ -141,3 +145,36 @@ def test_variants_reach_every_check():
         "basis element # is not Peirce-homogeneous", "the bimodule eTf is zero",
         "bimodule not faithful: some a in A kills eTf",
         "bimodule not faithful: some b in B kills eTf"}
+
+
+@pytest.mark.parametrize("name", ["t3", "t4", "diamond", "block22"])
+def test_several_faults_name_the_first_failing_triple(name):
+    # 2-3 constants changed together at products off the unit's support,
+    # which the unit law does not read: associativity decides, and the
+    # library's walk over one left factor at a time must report the
+    # smallest of the failing triples, as the reference's dim**3 scan does
+    t = CASES[name]()
+    alg = t.alg
+    dim = alg.dim
+    unit, e = list(alg.unit), list(t.e.coords)
+    off_unit = [i for i, u in enumerate(unit) if not u]
+    rnd = random.Random(f"several-faults-{name}")
+    several = 0
+    for n in range(40):
+        table = {(i, j, k): v for i, j, k, v in alg.structure_items()}
+        for _ in range(rnd.randint(2, 3)):
+            key = (rnd.choice(off_unit), rnd.choice(off_unit), rnd.randrange(dim))
+            table[key] = table.get(key, 0) + rnd.choice(DELTAS)
+        # in a shuffled order: the first failing triple is the smallest,
+        # whatever order the constants were given in
+        items = [key + (v,) for key, v in table.items()]
+        rnd.shuffle(items)
+        got = library(dim, items, unit, e)
+        with pytest.raises(ValueError, match="not associative") as want:
+            dense_oracle.validate(dim, items, unit)
+        assert got == ("error", "algebra", str(want.value)), (name, n)
+        failures = dense_oracle.associativity_failures(dim, items)
+        if len({i for i, _, _ in failures}) > 1:
+            several += 1
+    # most variants fail at triples of more than one left factor
+    assert several >= 30

@@ -14,8 +14,10 @@ outside the standard span the law test reads, they must hold every
 failing slice, and decompose must still give the reference's outcome on
 every basis map and on a perturbation of each.  The one builder of
 product rows, algebra._times_basis, must equal Element multiplication on
-both sides, and both indexes of the brackets by right factor must hold
-plain (i, row) pairs that add up to the bracket table.
+both sides; it and the bracket table must not depend on the order in
+which the structure constants were given; and both indexes of the
+brackets by right factor must hold plain (i, row) pairs that add up to
+the bracket table.
 verify_decomposition reads a table of its own: a fault in the table
 decompose reads must be stopped by it, and a fault in its own table must
 fail a correct split.  A bracket row doubled in
@@ -29,11 +31,11 @@ import pytest
 
 import dense_oracle
 from liebider import cli
-from liebider import (BilinearMap, Decomposition, MapLaw, NoCentralLambda,
+from liebider import (BilinearMap, Decomposition, FiniteAlgebra, MapLaw, NoCentralLambda,
                       NotLieBider, Poset, ResidualNotCentral, SpanChecker,
                       block_upper_triangular, decompose, incidence_algebra, law_residual,
-                      make_extremal, make_inner, multiply, solve_space, upper_triangular,
-                      verify_decomposition)
+                      lie_bracket, make_extremal, make_inner, multiply, solve_space,
+                      upper_triangular, verify_decomposition)
 from liebider.algebra import _bracket_table, _brackets, _combine, _times_basis
 from liebider.decomp import _brackets_by_right, _candidate_slices, _verify_brackets
 from liebider.linalg import exact
@@ -263,14 +265,10 @@ TABLE_ALGEBRAS = {**ALGEBRAS, "t2": lambda: upper_triangular(2, 1), "crown": CRO
                   "rescaled_t5": exact_reference.rescaled_t5}
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
-def test_times_basis_equals_multiply(name):
-    t = TABLE_ALGEBRAS[name]()
-    alg = t.alg
-    rnd = random.Random(f"times-basis-{name}")
+def assert_times_basis_equals_multiply(alg, e, rnd):
     seeded = alg.element([exact(f"{rnd.randint(-5, 5)}/{rnd.randint(1, 3)}")
                           for _ in range(alg.dim)])
-    for x in alg.basis() + [alg.unit_element(), t.e, seeded]:
+    for x in alg.basis() + [alg.unit_element(), e, seeded]:
         for left in (True, False):
             rows = _times_basis(alg, x.coords, left)
             assert len(rows) == alg.dim
@@ -278,6 +276,36 @@ def test_times_basis_equals_multiply(name):
                 b = alg.basis_element(p)
                 want = multiply(x, b) if left else multiply(b, x)
                 assert row == {k: v for k, v in enumerate(want.coords) if v}, (x, left, p)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
+def test_times_basis_equals_multiply(name):
+    t = TABLE_ALGEBRAS[name]()
+    assert_times_basis_equals_multiply(t.alg, t.e, random.Random(f"times-basis-{name}"))
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
+def test_product_rows_do_not_depend_on_table_order(name):
+    # the same algebra from its structure constants in a shuffled order:
+    # the one-pass row builder and the bracket table read the product
+    # table in its insertion order, and must give the same rows
+    t = TABLE_ALGEBRAS[name]()
+    rnd = random.Random(f"table-order-{name}")
+    items = t.alg.structure_items()
+    rnd.shuffle(items)
+    alg = FiniteAlgebra(t.alg.dim, t.alg.basis_labels, items, t.alg.unit)
+    assert list(alg._prod) != sorted(alg._prod)
+    assert_times_basis_equals_multiply(alg, alg.element(t.e.coords), rnd)
+    basis = alg.basis()
+    want = {}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            br = lie_bracket(x, y)
+            if not br.is_zero():
+                want[(i, j)] = {k: v for k, v in enumerate(br.coords) if v}
+    table = _bracket_table(alg)
+    assert table == want
+    assert list(table) == sorted(table)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
