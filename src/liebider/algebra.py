@@ -37,12 +37,12 @@ read from an index of the table by factor and output coordinate, made
 once per table (_factor_index), so it visits only the nonzero products
 and its terms are counted before it is built.  A row of one term only
 says that its column is zero: it sets that column and is not built.
-The other rows, less their known zero columns, go through
-linalg.reduce_rows, which reduces no row of a component of columns that
-is already full.  Cached values are ints, Fractions, bytes, dicts, lists
-and tuples only, never Elements or the algebra itself, so an algebra
-stays free of reference cycles.  They are shared, not copied: callers read them and
-never change them.  Element arithmetic (multiply, lie_bracket) stays
+The other rows go through linalg.echelon, which builds every echelon
+system here (the derivation systems, the standard span's functionals,
+the center), and linalg.kernel reads each kernel off it.  Cached values
+are ints, Fractions, bytes, dicts, lists and tuples only, never Elements
+or the algebra itself, so an algebra stays free of reference cycles.
+They are shared, not copied: callers read them and never change them.  Element arithmetic (multiply, lie_bracket) stays
 independent of the tables, for the checks that recompute from the
 structure constants.
 
@@ -57,8 +57,7 @@ _cache and last as long as the triangular algebra does.
 
 from math import lcm
 
-from .linalg import (RowReducer, annihilator, exact, integer_kernel, nullspace_from_reducer,
-                     reduce_rows)
+from .linalg import annihilator, canonical_vector, echelon, exact, kernel
 
 
 class MixedAlgebras(Exception):
@@ -417,19 +416,9 @@ def _derivation_system(alg, lie):
 
     Most rows have one term, counted off _factor_index's per-coordinate
     lists before the row is built, and only say that its column is zero:
-    _identity_rows sets that column and builds no row.  Every other row
-    drops its known zero columns, which is exact since those unknowns are
-    0, and the nonempty rows left go through linalg.reduce_rows, which
-    reduces no row of a component of columns that is already full.  The
-    zero columns' unit rows and the reducer's rows together are the same
-    unique echelon form.
-
-    Returns (zero, rows).  An echelon row with one entry only says that
-    its column vanishes: zero[col] is 1 for those columns and 0 elsewhere.
-    rows are the other echelon rows, in pivot order, as (columns, values)
-    pairs with the columns ascending (pivot first) and the RowReducer's
-    gcd-normalized integer values (pivot positive): each is an integer
-    multiple of its RREF row.
+    _identity_rows sets that column and builds no row.  The other rows go
+    to linalg.echelon with those zero columns, and its (zero, rows) is
+    returned.
     """
     dim = alg.dim
     tab = _integer_table(_table(alg, lie))
@@ -439,24 +428,7 @@ def _derivation_system(alg, lie):
     rows = [row for a in range(dim) for c in range(a + 1 if lie else 0, dim)
             if a in gens or lie and c in gens
             for _, row in _identity_rows(tab, index, dim, a, c, zero)]
-    kept = ({col: v for col, v in row.items() if not zero[col]} for row in rows)
-    red = reduce_rows((row for row in kept if row), dim * dim)
-    return _echelon_system(red.pivrows, zero)
-
-
-def _echelon_system(rows, zero):
-    """(zero, rows) as _derivation_system returns them, from gcd-normalized
-    integer echelon rows {col: int} in any order and a bytearray over the
-    columns with the zero columns found so far set; a row of one entry
-    sets its column there too."""
-    out = []
-    for row in rows:
-        if len(row) == 1:
-            for col in row:
-                zero[col] = 1
-        else:
-            out.append(tuple(zip(*sorted(row.items()))))
-    return bytes(zero), tuple(sorted(out))
+    return echelon(rows, dim * dim, zero)
 
 
 def _derivations(alg, lie):
@@ -466,13 +438,10 @@ def _derivations(alg, lie):
 
 def _derivation_kernel(alg, lie):
     """The integer derivation basis D_s of the law kind, read off
-    _derivations(alg, lie) by linalg.integer_kernel: one {col: int} vector
-    per free column, ascending, nonzero at that column and 0 at the other
-    free ones."""
-    zero, rows = _derivations(alg, lie)
-    pivots = {cols[0] for cols, _ in rows}.union(c for c, z in enumerate(zero) if z)
-    return integer_kernel([(cols[0], dict(zip(cols, vals))) for cols, vals in rows],
-                          pivots, alg.dim * alg.dim)
+    _derivations(alg, lie) by linalg.kernel: one {col: int} vector per
+    free column, ascending, nonzero at that column and 0 at the other free
+    ones."""
+    return kernel(_derivations(alg, lie), alg.dim * alg.dim)
 
 
 def _derivation_basis(alg, lie):
@@ -495,7 +464,7 @@ def _column_index(rows):
 
 def _standard_system(alg):
     """The conditions that vanish on the standard span S of Lie
-    derivations, in _derivation_system's (zero, rows) format.
+    derivations, in linalg.echelon's (zero, rows) format.
 
     S is ad(T) + {x -> f(x)*z : z central, f vanishing on [T, T]}.  Every
     element of S is a Lie derivation, so S lies in the Lie derivation
@@ -526,13 +495,13 @@ def _standard_system(alg):
             if v:
                 span[x][a * dim + k] = v
                 span[a][x * dim + k] = -v
-    red = reduce_rows(({k: v for k, v in row.items() if v} for row in brackets.values()), dim)
-    functionals = integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), dim)
+    functionals = kernel(echelon(({k: v for k, v in row.items() if v}
+                                  for row in brackets.values()), dim), dim)
     for z in _cached(alg, "center", _center_coords):
         den = lcm(*(c.denominator for c in z))
         z = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(z) if c]
         span.extend({a * dim + k: v * c for a, v in f.items() for k, c in z} for f in functionals)
-    return _echelon_system(annihilator(span, dim * dim), bytearray(dim * dim))
+    return annihilator(span, dim * dim)
 
 
 def _standard(alg):
@@ -566,10 +535,8 @@ def _center_coords(alg):
     for (j, i), row in _integer_table(_brackets(alg)).items():
         for k, v in row.items():
             rows.setdefault((i, k), {})[j] = v
-    red = RowReducer(alg.dim)
-    for key in sorted(rows):
-        red.add_row(rows[key])
-    return tuple(nullspace_from_reducer(red, alg.dim))
+    return tuple(canonical_vector(vec, alg.dim)
+                 for vec in kernel(echelon(rows.values(), alg.dim), alg.dim))
 
 
 def is_commutative(alg):

@@ -12,9 +12,9 @@ both routes agree exactly.  Both read the algebra's cached structure tables
 (algebra.py): the bracket or product table, and for solve_space the integer
 echelon rows of the derivation system and the derivation basis read off
 them, both cached per law kind.  solve_space solves a two-sided law on
-that basis, through linalg.reduce_rows and linalg.integer_kernel in
-integers, so everything stays in ints until each map is divided by its
-trailing entry.  That division is linalg.exact's, as is every
+that basis, through linalg.echelon and linalg.kernel in integers, so
+everything stays in ints until each map is divided by its trailing
+entry.  That division is linalg.exact's, as is every
 coefficient a BilinearMap stores: an int where the trailing entry
 divides the value, which it nearly always does, and a Fraction only
 where it does not.  A one-sided law's maps are shifted copies of the
@@ -28,7 +28,7 @@ Element-arithmetic reference it is tested against.
 import enum
 from .algebra import (Element, _brackets, _combine, _derivation_basis, _derivations,
                       _factor_index, _identity_rows, _table, lie_bracket, multiply)
-from .linalg import SparseMatrix, exact, integer_kernel, reduce_rows
+from .linalg import SparseMatrix, echelon, exact, kernel
 
 
 class NotCentral(Exception):
@@ -258,9 +258,10 @@ def _two_sided_maps(zero, rows, derivs, dim):
     Every slice φ(., b_a) must be a derivation too.  Stage 1, per l: at
     a zero column (l, k) of the derivation system, G_l(b_a) has no b_k
     term for any a.  D_s is the one derivation nonzero at its free column
-    f_s = (a_s, k_s), so x[l][s] = 0 wherever (l, k_s) is a zero column;
-    the other D_s meet the rest of these conditions in a system of at
-    most nd columns, whose integer kernel is K_l.  Stage 2: each other
+    f_s = (a_s, k_s), so x[l][s] = 0 wherever (l, k_s) is a zero column,
+    a zero column of the system over x[l] before any row is read; the
+    other D_s meet the rest of these conditions in a system of at most nd
+    columns, whose integer kernel is K_l.  Stage 2: each other
     echelon row, at each b_a, is one row over the coordinates y of the
     G_y spanning all the K_l, placed at their l: Σ dim K_l columns.  y
     runs over l, then K_l's free column, so a y-kernel vector is nonzero
@@ -273,16 +274,15 @@ def _two_sided_maps(zero, rows, derivs, dim):
     gs = []  # y -> G_y placed at its l, {flat index: int}
     for l in range(dim):
         zeros = zero[l * dim:(l + 1) * dim]
-        forced = {s for s, k in enumerate(free_k) if zeros[k]}
+        forced = bytes(zeros[k] for k in free_k)
         at = {}  # (a, k) with (l, k) a zero column -> {s: D_s[a][k]}
         for s, d in enumerate(derivs):
-            if s not in forced:
+            if not forced[s]:
                 for f, w in d.items():
                     if zeros[f % dim]:
                         at.setdefault(f, {})[s] = w
-        red = reduce_rows(at.values(), nd)
         base = l * dim * dim
-        for x in integer_kernel(zip(red.pivcols, red.pivrows), forced.union(red.pivcols), nd):
+        for x in kernel(echelon(at.values(), nd, forced), nd):
             g = _combine([(c, derivs[s]) for s, c in x.items()])
             gs.append({base + f: w for f, w in g.items()})
     by_col = {}  # (l, k) -> [(a, y, G_y(b_l, b_a)_k)]
@@ -304,9 +304,8 @@ def _two_sided_maps(zero, rows, derivs, dim):
                 if out:
                     yield out
 
-    red = reduce_rows(coupled(), len(gs))
     maps = []
-    for x in integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), len(gs)):
+    for x in kernel(echelon(coupled(), len(gs)), len(gs)):
         vec = _combine([(c, gs[y]) for y, c in x.items()])
         last = max(vec)
         maps.append((last, {f: exact(vec[f], vec[last]) for f in sorted(vec)}))

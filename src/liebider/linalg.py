@@ -6,12 +6,12 @@ bases, and canonical solutions of sparse linear systems with rational
 entries.  The elimination engine keeps rows as gcd-normalized integer
 dictionaries and maintains a fully inter-reduced pivot set, so adding a row
 costs one elimination pass and the final form is the unique RREF.
-reduce_rows feeds a whole system to one such reducer and passes over
-every row whose connected component of columns already has a pivot in
-each of its columns: that row is dependent, so the reducer ends as
-feeding every row would leave it.  One reader, integer_kernel, reads
-every kernel off such a form; nullspace_from_reducer is its rational
-view.
+Every homogeneous system the library solves takes one path: echelon
+builds its reduced echelon form in the (zero, rows) format, where a
+one-term row only marks its column as zero and every other row, less the
+zero columns, is fed in order to one RowReducer (reduce_rows), and
+kernel reads the integer kernel off that form.  nullspace_from_reducer
+is kernel's rational view of a reducer fed by hand.
 
 Every value the library stores, here and in the other modules, follows
 one rule, exact(): an int when it is integral, a Fraction only when it
@@ -242,46 +242,90 @@ class RowReducer:
 
 
 def reduce_rows(rows, ncols):
-    """A RowReducer fed the integer row dicts of rows in order, less the
-    rows that cannot add rank.
-
-    The columns fall into connected components, two columns joined when
-    some row meets both: a union-find over the row supports, grown as the
-    rows arrive.  Elimination never mixes rows of different components,
-    so a component's pivots come from its own rows and lie in its own
-    columns.  Once it has a pivot in every column, its rows span every
-    vector on those columns, and a later row inside it is dependent: such
-    a row is dropped without being reduced.  Feeding it would leave the
-    reducer as it was, so the result is the reducer that feeding every row
-    gives.  A row that brings a new column is always fed.  rows may be any
-    iterable; each row is consumed or dropped when it is reached.
-    """
+    """A RowReducer fed the integer row dicts of rows in order, each
+    consumed as it is fed."""
     red = RowReducer(ncols)
-    parent = [-1] * ncols  # parent column, a root its own, -1 before a row meets it
-    size = [0] * ncols     # at a root: the columns of its component
-    pivots = [0] * ncols   # and its pivots
     for row in rows:
-        root = -1
-        for c in row:
-            r = parent[c]
-            if r < 0:
-                parent[c] = r = c
-                size[c] = 1
-            else:
-                while parent[r] != r:
-                    parent[r] = r = parent[parent[r]]
-            if root < 0:
-                root = r
-            elif r != root:
-                # the smaller component joins the larger
-                if size[r] > size[root]:
-                    root, r = r, root
-                parent[r] = root
-                size[root] += size[r]
-                pivots[root] += pivots[r]
-        if root >= 0 and pivots[root] < size[root] and red.add_row(row) is not None:
-            pivots[root] += 1
+        red.add_row(row)
     return red
+
+
+def echelon(rows, ncols, zero=None):
+    """The unique reduced echelon form of a homogeneous integer system.
+
+    rows are {col: int} dicts without zeros, in any iterable; zero, when
+    given, marks with a nonzero byte the columns already known to vanish,
+    as unit rows of the system would.  A row of one term only says that
+    its column vanishes: it is read into zero and never reduced.  Every
+    other row drops the zero columns, which is exact since those unknowns
+    are 0, and the nonempty rows left are fed in order to reduce_rows.
+    The zero columns' unit rows and the reducer's rows together are the
+    unique echelon form.
+
+    Returns (zero, rows): zero is bytes over the columns, 1 at each column
+    whose echelon row is its unit row and 0 elsewhere; rows are the other
+    echelon rows in pivot order, as (columns, values) pairs with the
+    columns ascending (pivot first) and the RowReducer's gcd-normalized
+    integer values (pivot positive), each an integer multiple of its RREF
+    row.
+    """
+    zero = bytearray(zero) if zero is not None else bytearray(ncols)
+    multi = []
+    for row in rows:
+        if len(row) == 1:
+            for col in row:
+                zero[col] = 1
+        else:
+            multi.append(row)
+    kept = ({col: v for col, v in row.items() if not zero[col]} for row in multi)
+    out = []
+    for row in reduce_rows((row for row in kept if row), ncols).pivrows:
+        if len(row) == 1:
+            for col in row:
+                zero[col] = 1
+        else:
+            out.append(tuple(zip(*sorted(row.items()))))
+    return bytes(zero), tuple(sorted(out))
+
+
+def kernel(system, ncols):
+    """Kernel basis of a (zero, rows) echelon system, as echelon returns
+    it, read off its rows.
+
+    One {col: int} vector per free column f, ascending: a free column is
+    neither zero nor a pivot.  The vector is m at f, 0 at the other free
+    columns and -row[f]*m/row[p] at the pivot p of each row with an entry
+    at f, m the lcm of those row[p].  Each such p is below f, so m at f is
+    the last nonzero entry.
+    """
+    zero, rows = system
+    solved = {}  # free column f -> [(pivot p, -row[f], row[p])]
+    for cols, vals in rows:
+        p, pv = cols[0], vals[0]
+        for c, v in zip(cols[1:], vals[1:]):
+            solved.setdefault(c, []).append((p, -v, pv))
+    pivots = {cols[0] for cols, _ in rows}
+    out = []
+    for f in range(ncols):
+        if not zero[f] and f not in pivots:
+            entries = solved.get(f)
+            if entries is None:
+                out.append({f: 1})
+                continue
+            m = lcm(*(pv for _, _, pv in entries))
+            out.append({p: v * (m // pv) for p, v, pv in entries} | {f: m})
+    return out
+
+
+def canonical_vector(vec, ncols):
+    """A kernel vector as nullspace() gives it: divided by its entry at
+    its free column, the last nonzero one, as a tuple of exact() values
+    over every column."""
+    m = vec[max(vec)]
+    out = [0] * ncols
+    for c, x in vec.items():
+        out[c] = exact(x, m)
+    return tuple(out)
 
 
 def _reduce_matrix(m):
@@ -318,69 +362,35 @@ def nullspace(m):
 
 
 def nullspace_from_reducer(red, ncols):
-    """nullspace() of the rows reduced so far: the integer_kernel of the
-    reducer's echelon form, each vector divided by its entry at its free
-    column."""
-    basis = []
-    for vec in integer_kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), ncols):
-        m = vec[max(vec)]
-        v = [0] * ncols
-        for c, x in vec.items():
-            v[c] = exact(x, m)
-        basis.append(tuple(v))
-    return basis
-
-
-def integer_kernel(rows, pivots, ncols):
-    """Kernel basis of an integer echelon system, read off its rows.
-
-    rows are (pivot p, {col: int}) pairs of a fully inter-reduced echelon
-    form, pivots every pivot column.  One {col: int} vector per free column
-    f, ascending: 1 at f, 0 at the other free columns and -row[f]/row[p] at
-    each pivot p, all times the lcm m of those row[p].  Each such p is
-    below f, so m at f is the last nonzero entry.
-    """
-    return _kernel(rows, pivots, ncols, range(ncols))
+    """nullspace() of the rows reduced so far: the kernel of the reducer's
+    echelon form, each vector divided by its entry at its free column."""
+    rows = [tuple(zip(*sorted(row.items()))) for row in red.pivrows]
+    return [canonical_vector(vec, ncols) for vec in kernel((bytes(ncols), rows), ncols)]
 
 
 def annihilator(rows, ncols):
-    """The echelon rows of the annihilator of the span of rows, the dual
-    of integer_kernel.
+    """The echelon system of the annihilator of the span of rows, the dual
+    of kernel.
 
-    rows are {col: int} vectors.  Returns the {col: int} rows r with
-    r.s = 0 for every s in the span, as gcd-normalized integer multiples
-    of its unique reduced echelon form, pivot (the least column) positive,
-    in descending pivot order.  The span is reduced in reversed column
-    order, where the annihilator is the kernel of its echelon form:
-    integer_kernel's vectors there, each with its last entry, m > 0, at
-    its free column, are its rows once the columns are turned back, and
-    that entry is then the pivot.
+    rows are {col: int} vectors.  Returns, in echelon's (zero, rows)
+    format, the unique reduced echelon form of the r with r.s = 0 for
+    every s in the span.  The span's echelon form is built in reversed
+    column order, where the annihilator is its kernel: kernel's vectors
+    there, each with its last entry, m > 0, at its free column, are the
+    echelon rows once the columns are turned back, and that entry is then
+    the pivot.  So they are split, not reduced again.
     """
     last = ncols - 1
-    red = reduce_rows(({last - c: v for c, v in row.items()} for row in rows), ncols)
-    return [_normalize(vec) if len(vec) > 1 else vec
-            for vec in _kernel(zip(red.pivcols, red.pivrows), set(red.pivcols), ncols,
-                               range(last, -1, -1))]
-
-
-def _kernel(rows, pivots, ncols, names):
-    """integer_kernel's vectors with each column c named names[c]."""
-    solved = {}  # free column f -> [(pivot p, -row[f], row[p])]
-    for p, row in rows:
-        pv = row[p]
-        for c, v in row.items():
-            if c != p:
-                solved.setdefault(c, []).append((p, -v, pv))
-    kernel = []
-    for f in range(ncols):
-        if f not in pivots:
-            entries = solved.get(f)
-            if entries is None:
-                kernel.append({names[f]: 1})
-                continue
-            m = lcm(*(pv for _, _, pv in entries))
-            kernel.append({names[p]: v * (m // pv) for p, v, pv in entries} | {names[f]: m})
-    return kernel
+    zero, out = bytearray(ncols), []
+    for vec in kernel(echelon(({last - c: v for c, v in row.items()} for row in rows), ncols),
+                      ncols):
+        if len(vec) == 1:
+            for col in vec:
+                zero[last - col] = 1
+        else:
+            out.append(tuple(zip(*sorted(_normalize({last - c: v for c, v in vec.items()}).items()))))
+    out.reverse()  # free column ascending = pivot descending
+    return bytes(zero), tuple(out)
 
 
 def solve(m, rhs):

@@ -16,7 +16,7 @@ import random
 from .algebra import (Element, FiniteAlgebra, MixedAlgebras, _brackets, _cached, _combine,
                       _generators, _integer_table, _times_basis, center_basis, is_commutative,
                       multiply)
-from .linalg import RowReducer, SpanChecker, _sparse, nullspace_from_reducer, reduce_rows
+from .linalg import RowReducer, SpanChecker, _sparse, canonical_vector, echelon, kernel
 
 
 class ConstructionError(ValueError):
@@ -164,11 +164,11 @@ class TriangularAlgebra:
         for side, actors, error in (
                 ("left", self.a_indices, "bimodule not faithful: some a in A kills eTf"),
                 ("right", self.b_indices, "bimodule not faithful: some b in B kills eTf")):
-            red = RowReducer(dm * dm)
-            for g in actors:
-                red.add_fraction_row({u * dm + pos[k]: v for u, gu in enumerate(self.m_indices)
-                                      for k, v in (mul(g, gu) if side == "left" else mul(gu, g)).items()})
-            if len(red.pivrows) != len(actors):
+            zero, rows = echelon((RowReducer.integer_row(
+                {u * dm + pos[k]: v for u, gu in enumerate(self.m_indices)
+                 for k, v in (mul(g, gu) if side == "left" else mul(gu, g)).items()})
+                for g in actors), dm * dm)
+            if sum(zero) + len(rows) != len(actors):
                 raise BadSplit(error)
 
     # -- Peirce structure ------------------------------------------------
@@ -360,8 +360,8 @@ def bimodule_hom_basis(t):
     commuting with the left A-action and the right B-action.  The system
     is built from the sparse integer product table, one row per actor, j
     and output coordinate, with the generators of each corner as the
-    actors (see _hom_rows), and reduced through linalg.reduce_rows as it
-    is.  Returned as
+    actors (see _hom_rows), and solved through linalg.echelon and
+    linalg.kernel.  Returned as
     tuples of row tuples, one per basis hom, in the canonical nullspace
     order of the flattened (i, j) unknowns.
     """
@@ -370,9 +370,10 @@ def bimodule_hom_basis(t):
 
 def _bimodule_homs(t):
     dm = len(t.m_indices)
-    red = reduce_rows(_hom_rows(t), dm * dm)
+    n = dm * dm
+    homs = (canonical_vector(x, n) for x in kernel(echelon(_hom_rows(t), n), n))
     return tuple(tuple(tuple(vec[i * dm + j] for j in range(dm)) for i in range(dm))
-                 for vec in nullspace_from_reducer(red, dm * dm))
+                 for vec in homs)
 
 
 def _hom_rows(t):
@@ -492,18 +493,16 @@ def hypothesis_report(t):
             for c, z in zip(coeffs, za):
                 alpha = alpha + z.scale(c)
             # the kernel of x → alpha·x on the corner, one row per output
-            # coordinate k
+            # coordinate k, cleared of denominators
             rows = {}
             for j, col in enumerate(_times_basis(corner_a, alpha.coords, True)):
                 for k, v in col.items():
                     rows.setdefault(k, {})[j] = v
-            red = RowReducer(corner_a.dim)
-            for k in sorted(rows):
-                red.add_fraction_row(rows[k])
-            kern = nullspace_from_reducer(red, corner_a.dim)
+            kern = kernel(echelon(map(RowReducer.integer_row, rows.values()), corner_a.dim),
+                          corner_a.dim)
             if kern:
                 found = {"alpha": [str(c) for c in alpha.coords],
-                         "kernel_vector": [str(c) for c in kern[0]]}
+                         "kernel_vector": [str(c) for c in canonical_vector(kern[0], corner_a.dim)]}
                 break
         details["cond_iv"] = {"branch": "randomized", "center_dim": len(za),
                               "probes": probes, "witness": found}

@@ -23,7 +23,7 @@ from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
 from liebider import algebra as algebra_module
 from liebider import bider as bider_module
 from liebider.bider import lemma31_failures
-from liebider.linalg import RowReducer, canonical_basis, nullspace_from_reducer, reduce_rows
+from liebider.linalg import RowReducer, canonical_basis, echelon, nullspace_from_reducer
 
 ALL_LAWS = list(MapLaw)
 
@@ -378,11 +378,11 @@ def test_two_sided_solve_couples_only_the_zero_column_kernels(monkeypatch, name,
     alg = LARGER_ALGEBRAS[name]()
     ncols = []
 
-    def recorded(rows, n):
+    def recorded(rows, n, zero=None):
         ncols.append(n)
-        return reduce_rows(rows, n)
+        return echelon(rows, n, zero)
 
-    monkeypatch.setattr(bider_module, "reduce_rows", recorded)
+    monkeypatch.setattr(bider_module, "echelon", recorded)
     for law, want in ((MapLaw.LIE_BIDER, lie_cols), (MapLaw.ASSOC_BIDER, assoc_cols)):
         ncols.clear()
         solve_space(alg, law)
@@ -436,24 +436,26 @@ def test_derivation_system_matches_dense_reference(name, lie):
 def test_one_term_identity_rows_never_reach_the_reducer(monkeypatch):
     # a one-term identity row only says that its column is zero, so it is
     # read into the zero bytes and not built.  Building every row handed
-    # reduce_rows 1,847 (bracket) and 1,706 (product) rows on T6 k=3; now
-    # 243 and 161.  On T12 k=6 it handed 40,427 and 27,688 rows for 8,596
-    # and 6,612 fed to the reducer; now 2,693 and 1,475 for 2,693 and 1,398
+    # the reduction 1,847 (bracket) and 1,706 (product) rows on T6 k=3;
+    # now 243 and 161 have a term outside the zero columns that echelon is
+    # given.  On T12 k=6 it handed 40,427 and 27,688 rows for 8,596 and
+    # 6,612 fed to the reducer; now 2,693 and 1,475 such rows
     handed, fed = [], []
     add_row = RowReducer.add_row
 
-    def counted(rows, n):
+    def counted(rows, n, zero=None):
         rows = list(rows)
-        handed.append(len(rows))
-        return reduce_rows(rows, n)
+        handed.append(sum(any(not zero[col] for col in row) for row in rows))
+        return echelon(rows, n, zero)
 
     def added(self, row):
         fed.append(1)
         return add_row(self, row)
 
-    monkeypatch.setattr(algebra_module, "reduce_rows", counted)
-    monkeypatch.setattr(RowReducer, "add_row", added)
+    # built first: construction solves the center through echelon too
     t6, t12 = upper_triangular(6, 3).alg, upper_triangular(12, 6).alg
+    monkeypatch.setattr(algebra_module, "echelon", counted)
+    monkeypatch.setattr(RowReducer, "add_row", added)
     for lie, every in ((True, 1847), (False, 1706)):
         handed.clear()
         algebra_module._derivation_system(t6, lie)

@@ -5,14 +5,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import dense_kernel, dense_rref
 from matrix_helpers import from_dense, mul_vector, to_dense
 from liebider import (Inconsistent, RowReducer, SparseMatrix, SpanChecker,
                       canonical_basis, nullspace, rref, solve)
-from liebider.linalg import annihilator, reduce_rows
+from liebider.linalg import annihilator, echelon, kernel, reduce_rows
 
 
 def mat(rows):
@@ -152,6 +152,15 @@ def sparse(vec):
     return {c: v for c, v in enumerate(vec) if v}
 
 
+def split_echelon(piv, ncols):
+    """Dense (pivot, integer row) pairs in pivot order, as dense_rref gives
+    them, in echelon's (zero, rows) format: a one-entry row marks its
+    column in zero, every other row is a (columns, values) pair."""
+    rows = [tuple(zip(*sparse(row).items())) for _, row in piv]
+    zero = {cols[0] for cols, _ in rows if len(cols) == 1}
+    return bytes(c in zero for c in range(ncols)), tuple(r for r in rows if len(r[0]) > 1)
+
+
 def test_canonical_basis_recovers_nullspace_form():
     m = mat([[1, 2, 3, 4], [0, 1, 1, 1]])
     kern = nullspace(m)
@@ -179,15 +188,14 @@ def test_annihilator_is_the_echelon_form_of_the_kernel(rows):
     ncols = len(rows[0])
     kernel = [[int(v * lcm(*(x.denominator for x in vec))) for v in vec]
               for vec in dense_kernel(rows, ncols)]
-    got = sorted(annihilator([sparse(r) for r in rows], ncols), key=min)
-    assert [[row.get(c, 0) for c in range(ncols)] for row in got] == [
-        row for _, row in dense_rref(kernel)]
+    assert annihilator([sparse(r) for r in rows], ncols) == split_echelon(dense_rref(kernel),
+                                                                          ncols)
 
 
 def test_annihilator_of_a_plane():
     # the span of (1, 1, 0) and (0, 2, 1) is cut out by x - y + 2z = 0
-    assert annihilator([{0: 1, 1: 1}, {1: 2, 2: 1}], 3) == [{0: 1, 1: -1, 2: 2}]
-    assert annihilator([], 2) == [{1: 1}, {0: 1}]
+    assert annihilator([{0: 1, 1: 1}, {1: 2, 2: 1}], 3) == (bytes(3), (((0, 1, 2), (1, -1, 2)),))
+    assert annihilator([], 2) == (b"\x01\x01", ())
 
 
 def test_span_checker_membership():
@@ -265,10 +273,11 @@ def test_add_row_keeps_the_column_index_and_the_echelon_form(feed):
         assert got == dense_rref(dense)
 
 
-# -- reduce_rows --------------------------------------------------------------
+# -- reduce_rows, echelon and kernel ------------------------------------------
 
-def fed_rows(rows, ncols):
-    """reduce_rows on copies of rows, with the rows it feeds to add_row."""
+def fed_rows(rows, ncols, zero=None):
+    """reduce_rows and echelon on copies of rows, each with the rows it
+    feeds to add_row."""
     fed = []
     add_row = RowReducer.add_row
 
@@ -279,9 +288,12 @@ def fed_rows(rows, ncols):
     RowReducer.add_row = counted
     try:
         red = reduce_rows((dict(row) for row in rows), ncols)
+        reduced = fed[:]
+        fed.clear()
+        system = echelon((dict(row) for row in rows), ncols, zero)
     finally:
         RowReducer.add_row = add_row
-    return red, fed
+    return red, reduced, system, fed
 
 
 def fed_every_row(rows, ncols):
@@ -291,48 +303,56 @@ def fed_every_row(rows, ncols):
     return red
 
 
-def test_reduce_rows_drops_the_rows_of_a_full_component():
-    rows = [{0: 1}, {1: 2, 2: 1}, {0: 3}, {1: 1}, {1: 5, 2: 7}, {2: 1, 3: 1}]
-    red, fed = fed_rows(rows, 4)
-    # {0: 3} meets the full {0}, {1: 5, 2: 7} the full {1, 2}; the last row
-    # brings column 3, so it is fed
-    assert fed == [rows[0], rows[1], rows[3], rows[5]]
-    full = fed_every_row(rows, 4)
-    assert (red.pivrows, red.pivcols) == (full.pivrows, full.pivcols)
-
-
 @st.composite
-def block_systems(draw):
-    """(rows, ncols): sparse integer rows over 2 to 4 blocks of columns,
-    each row inside one block, interleaved.  Every block but the first
-    also gets a nonzero multiple of each of its unit rows, so it fills;
-    every row of the first block has one nonzero value at both its first
-    and its last column, so it never does."""
-    widths = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+def zero_column_systems(draw):
+    """(rows, ncols, zero): sparse integer rows over 2 to 7 columns,
+    possibly none, and a prefilled zero bytes or None.  Some rows have one
+    term, and each such row comes after a multi-term row on its column
+    whenever there is one.  Some rows are a term off the zero columns plus
+    terms on them, so they have one term left once those are dropped."""
+    ncols = draw(st.integers(2, 7))
     nonzero = st.integers(-9, 9).filter(bool)
-    rows = []
-    start = 0
-    for b, w in enumerate(widths):
-        cols = list(range(start, start + w))
-        block = draw(st.lists(st.dictionaries(st.sampled_from(cols), nonzero, max_size=w),
-                              max_size=6))
-        if b == 0:
-            for row in block:
-                row[cols[0]] = row[cols[-1]] = draw(nonzero)
-        else:
-            block += [{c: draw(nonzero)} for c in cols]
-        rows += [row for row in block if row]
-        start += w
-    return draw(st.permutations(rows)), start
+    column = st.integers(0, ncols - 1)
+    multi = draw(st.lists(st.dictionaries(column, nonzero, min_size=2, max_size=4), max_size=6))
+    singles = draw(st.lists(st.sampled_from(sorted({c for row in multi for c in row}))
+                            if multi else column, max_size=3))
+    zero = draw(st.none() | st.lists(st.booleans(), min_size=ncols, max_size=ncols).map(bytes))
+    zero_cols = sorted(set(singles) | {c for c in range(ncols) if zero and zero[c]})
+    rows = multi + [{c: draw(nonzero)} for c in singles]
+    if zero_cols:
+        for _ in range(draw(st.integers(0, 3))):
+            row = {draw(column): draw(nonzero)}
+            row.update(draw(st.dictionaries(st.sampled_from(zero_cols), nonzero, min_size=1)))
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, ncols, zero
 
 
-@settings(max_examples=200)
-@given(block_systems())
+@settings(max_examples=300)
+@given(zero_column_systems())
+@example(([], 3, None))
+@example(([], 2, b"\x00\x01"))
+@example(([{0: 1, 1: 2}, {1: 3, 2: 1}, {1: 5}, {0: 2, 1: 1, 2: 4}], 3, None))
 def test_reduce_rows_matches_feeding_every_row(system):
-    rows, ncols = system
-    red, fed = fed_rows(rows, ncols)
+    rows, ncols, zero = system
+    red, reduced, got, fed = fed_rows(rows, ncols, zero)
+    # reduce_rows feeds every row, in order, to one plain RowReducer
     full = fed_every_row(rows, ncols)
     assert (red.pivrows, red.pivcols) == (full.pivrows, full.pivcols)
-    assert len(fed) <= len(rows)
-    # the first block's component never fills, so each of its rows is fed
-    assert sum(0 in row for row in fed) == sum(0 in row for row in rows)
+    assert reduced == rows
+    # echelon: the RREF of every row and the prefilled zero columns' unit
+    # rows, its one-entry rows split out into zero
+    units = [{c: 1} for c in range(ncols) if zero and zero[c]]
+    every = rows + units
+    want = dense_rref([[row.get(c, 0) for c in range(ncols)] for row in every])
+    assert got == split_echelon(want, ncols)
+    # no one-term row and no zero column reaches the reducer
+    known = {c for row in every if len(row) == 1 for c in row}
+    assert all(known.isdisjoint(row) for row in fed)
+    assert len(fed) <= sum(len(row) > 1 for row in rows)
+    # kernel reads nullspace's basis, each vector an integer multiple
+    m = SparseMatrix(len(every), ncols, [(i, c, v) for i, row in enumerate(every)
+                                          for c, v in row.items()])
+    vecs = kernel(got, ncols)
+    assert all(type(v) is int for vec in vecs for v in vec.values())
+    assert [tuple(Fraction(vec.get(c, 0), vec[max(vec)]) for c in range(ncols))
+            for vec in vecs] == nullspace(m)
