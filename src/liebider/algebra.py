@@ -23,10 +23,10 @@ whose zero columns and rows the solver reads as they are) and the integer
 derivation basis read off it (_derivation_basis, also once per kind), the
 center's coordinates and, for decomp.py, the bracket table by right
 factor, verify_decomposition's own index of the products by right factor
-(b_i*b_p, and b_p*b_i negated), and the echelon rows of the standard span
-S of Lie derivations (ad(T) plus the central maps) with their column
-index (_standard and _standard_columns, read by the law test), read off
-the product table and the center with no identity rows to solve.  One
+(b_i*b_p, and b_p*b_i negated), and the standard span S of Lie
+derivations (ad(T) plus the central maps) as a linalg.SpanChecker fed
+S's own generators (_standard, read by the law test), read off the
+product table and the center with no identity rows to solve.  One
 helper, _times_basis, builds every row of x*b_p or b_p*x over the basis
 that any module needs.  The derivation identity is fed only at the pairs
 that meet a generating set G, read off the table's one-term products
@@ -40,9 +40,11 @@ says that its column is zero: it sets that column and is not built.
 The other rows go through linalg.echelon, which builds every echelon
 system here (the derivation systems, the standard span's functionals,
 the center), and linalg.kernel reads each kernel off it.  Cached values
-are ints, Fractions, bytes, dicts, lists and tuples only, never Elements
-or the algebra itself, so an algebra stays free of reference cycles.
-They are shared, not copied: callers read them and never change them.  Element arithmetic (multiply, lie_bracket) stays
+are ints, Fractions, bytes, dicts, lists and tuples only, and S's
+SpanChecker, which holds only such rows; never Elements or the algebra
+itself, so an algebra stays free of reference cycles.  They are shared,
+not copied: callers read them and never change them.  Element
+arithmetic (multiply, lie_bracket) stays
 independent of the tables, for the checks that recompute from the
 structure constants.
 
@@ -57,7 +59,7 @@ _cache and last as long as the triangular algebra does.
 
 from math import lcm
 
-from .linalg import annihilator, canonical_vector, echelon, exact, kernel
+from .linalg import SpanChecker, canonical_vector, echelon, exact, kernel
 
 
 class MixedAlgebras(Exception):
@@ -449,38 +451,24 @@ def _derivation_basis(alg, lie):
     return _cached(alg, ("derivation basis", lie), lambda a: _derivation_kernel(a, lie))
 
 
-def _column_index(rows):
-    """The (columns, values) rows of a system by column: {col: ((pivot,
-    value), ...)} over the columns that some row meets, each row named by
-    its pivot column, so a sparse vector's products with every row are
-    summed from its own support only.  The zero columns are not listed;
-    they are read from the zero bytes."""
-    out = {}
-    for cols, vals in rows:
-        for col, v in zip(cols, vals):
-            out.setdefault(col, []).append((cols[0], v))
-    return {col: tuple(hits) for col, hits in out.items()}
-
-
-def _standard_system(alg):
-    """The conditions that vanish on the standard span S of Lie
-    derivations, in linalg.echelon's (zero, rows) format.
+def _standard_span(alg):
+    """The standard span S of Lie derivations, as a linalg.SpanChecker
+    over the dim² coordinates of a linear map, fed S's own generators.
 
     S is ad(T) + {x -> f(x)*z : z central, f vanishing on [T, T]}.  Every
     element of S is a Lie derivation, so S lies in the Lie derivation
     space W; the two are equal wherever every Lie derivation is a
-    derivation plus a central map and every derivation is inner, and the
-    rows are then those of _derivations(alg, True), tuple for tuple (the
-    unique reduced echelon form, each row scaled alike).  ad(b_x) is read
-    off the product table as b_x*b_a - b_a*b_x at column a*dim + k, not off
-    the cached bracket table.  This is an invariant: the rows are built
-    at the first decompose, which may come after the cached bracket table
-    has been filled, so reading alg._prod alone is what keeps a fault in
-    that table out of the law test.  The f come from one reducer over the
+    derivation plus a central map and every derivation is inner.  The
+    generators are ad(b_x), one per x, and f(x)*z for each f of a kernel
+    basis and each z of the center basis.  ad(b_x) is read off the product
+    table as b_x*b_a - b_a*b_x at column a*dim + k, not off the cached
+    bracket table.  This is an invariant: S is built at the first
+    decompose, which may come after the cached bracket table has been
+    filled, so reading alg._prod alone is what keeps a fault in that table
+    out of the law test.  The f come from one echelon system over the
     brackets [b_x, b_a], x < a, and z from the center cache.  The table is
     scaled to integers by the lcm of its denominators, which leaves every
-    span as it is, and each z by the lcm of its own.  The conditions are
-    linalg.annihilator of these vectors."""
+    span as it is; the checker clears each f(x)*z of its own."""
     dim = alg.dim
     brackets = {}  # (x, a) with x < a -> [b_x, b_a], from both products
     for (i, j), row in _integer_table(alg._prod).items():
@@ -498,21 +486,14 @@ def _standard_system(alg):
     functionals = kernel(echelon(({k: v for k, v in row.items() if v}
                                   for row in brackets.values()), dim), dim)
     for z in _cached(alg, "center", _center_coords):
-        den = lcm(*(c.denominator for c in z))
-        z = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(z) if c]
-        span.extend({a * dim + k: v * c for a, v in f.items() for k, c in z} for f in functionals)
-    return annihilator(span, dim * dim)
+        span.extend({a * dim + k: v * c for a, v in f.items() for k, c in enumerate(z) if c}
+                    for f in functionals)
+    return SpanChecker(span, dim * dim)
 
 
 def _standard(alg):
-    """_standard_system(alg), built once per algebra."""
-    return _cached(alg, "standard span", _standard_system)
-
-
-def _standard_columns(alg):
-    """_column_index of the rows of _standard(alg), built once per
-    algebra."""
-    return _cached(alg, "standard columns", lambda a: _column_index(_standard(a)[1]))
+    """_standard_span(alg), built once per algebra."""
+    return _cached(alg, "standard span", _standard_span)
 
 
 def center_basis(alg):

@@ -20,14 +20,14 @@ first three visit only the terms that can be nonzero: each map pays for
 its own terms, on tables built once per algebra.  The law test and the
 extraction read the algebra's structure tables (see algebra.py): the
 bracket table [b_i, b_j], here also indexed by right factor, and the
-integer echelon rows of the standard span S of Lie derivations, ad(T)
-plus the maps x -> f(x)*z with z central and f vanishing on [T, T]
-(algebra._standard).
+standard span S of Lie derivations, ad(T) plus the maps x -> f(x)*z
+with z central and f vanishing on [T, T] (algebra._standard), held as
+the echelon rows of its own generators.
 S is read off the product table and the cached center, far more cheaply
 than the Lie derivation space W is solved; decompose() never builds W.
-The law test reads S's rows through their column index: one pass over
-the map's nonzero coefficients sums every slice's products with the rows
-that meet it, and returns the candidate slices, those outside S.  Every
+The law test groups the map's nonzero coefficients into the slices they
+touch and tests each against S's rows, clearing the slice's own
+denominators; it returns the candidate slices, those outside S.  Every
 failing slice is a candidate, since S holds Lie derivations only, and
 where S = W the candidates are exactly the failing slices.  The witness
 scan visits the candidates only and settles them exactly: decompose()
@@ -82,10 +82,7 @@ proof, the suite tests both candidate signs and records which one holds,
 instead of silently picking a side.
 """
 
-from math import lcm
-
-from .algebra import (_brackets, _cached, _combine, _standard, _standard_columns,
-                      _times_basis)
+from .algebra import _brackets, _cached, _combine, _standard, _times_basis
 from .bider import BilinearMap
 from .linalg import _sparse, exact
 from .triangular import _central_part, _central_solution, _center_system, _element
@@ -244,29 +241,19 @@ def _candidate_slices(alg, coeffs):
     whole Lie derivation space, as on every algebra but those with an
     outer derivation, the candidates are exactly the failing slices.
 
-    A slice lies in S iff it is zero at each column S's system forces to
-    vanish and meets every other echelon row in a zero sum.  Coefficient
-    (i, j, k) sits at column i*dim + k of the slice with j fixed and
-    j*dim + k of the slice with i fixed; the column index gives the rows
-    it meets.  The map is scaled to integers, which leaves each sum's
-    vanishing as is."""
-    zero, _ = _standard(alg)
-    index = _standard_columns(alg)
+    Coefficient (i, j, k) sits at column i*dim + k of the slice with j
+    fixed and j*dim + k of the slice with i fixed.  Each slice the map
+    touches is grouped from its nonzero coefficients and tested against
+    S's echelon rows; the test clears the slice's own denominators."""
+    span = _standard(alg)
     dim = alg.dim
-    den = lcm(*(v.denominator for row in coeffs.values() for v in row.values()))
-    none = ()
-    bad = set()
-    sums = {}
+    slices = {}
     for (i, j), row in coeffs.items():
+        one, two = slices.setdefault(j, {}), slices.setdefault(dim + i, {})
         for k, v in row.items():
-            v = v.numerator * (den // v.denominator)
-            for s, col in ((j, i * dim + k), (dim + i, j * dim + k)):
-                if zero[col]:
-                    bad.add(s)
-                for p, w in index.get(col, none):
-                    sums[s, p] = sums.get((s, p), 0) + v * w
-    bad.update(s for (s, _), v in sums.items() if v)
-    return bad
+            one[i * dim + k] = v
+            two[j * dim + k] = v
+    return {s for s, vec in slices.items() if not span.contains(vec)}
 
 
 def _verify_brackets(alg):

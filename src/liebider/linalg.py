@@ -368,31 +368,6 @@ def nullspace_from_reducer(red, ncols):
     return [canonical_vector(vec, ncols) for vec in kernel((bytes(ncols), rows), ncols)]
 
 
-def annihilator(rows, ncols):
-    """The echelon system of the annihilator of the span of rows, the dual
-    of kernel.
-
-    rows are {col: int} vectors.  Returns, in echelon's (zero, rows)
-    format, the unique reduced echelon form of the r with r.s = 0 for
-    every s in the span.  The span's echelon form is built in reversed
-    column order, where the annihilator is its kernel: kernel's vectors
-    there, each with its last entry, m > 0, at its free column, are the
-    echelon rows once the columns are turned back, and that entry is then
-    the pivot.  So they are split, not reduced again.
-    """
-    last = ncols - 1
-    zero, out = bytearray(ncols), []
-    for vec in kernel(echelon(({last - c: v for c, v in row.items()} for row in rows), ncols),
-                      ncols):
-        if len(vec) == 1:
-            for col in vec:
-                zero[last - col] = 1
-        else:
-            out.append(tuple(zip(*sorted(_normalize({last - c: v for c, v in vec.items()}).items()))))
-    out.reverse()  # free column ascending = pivot descending
-    return bytes(zero), tuple(out)
-
-
 def solve(m, rhs):
     """Canonical solution of m·x = rhs with all free variables zero.
 

@@ -22,8 +22,10 @@ from liebider import (BilinearMap, FiniteAlgebra, MapLaw, NoCentralLambda,
                       verify_decomposition)
 from liebider import algebra as algebra_module
 from liebider import bider as bider_module
+from liebider import linalg as linalg_module
 from liebider.bider import lemma31_failures
-from liebider.linalg import RowReducer, canonical_basis, echelon, nullspace_from_reducer
+from liebider.linalg import (RowReducer, canonical_basis, echelon, kernel,
+                             nullspace_from_reducer)
 
 ALL_LAWS = list(MapLaw)
 
@@ -410,6 +412,15 @@ def solution_dim(system, dim):
     return dim * dim - sum(zero) - len(rows)
 
 
+def meets(system, vec):
+    """Whether the sparse vector vec satisfies the (zero, rows) echelon
+    system: 0 at each zero column and a zero sum against every row."""
+    zero, rows = system
+    return (not any(zero[col] for col in vec)
+            and all(sum(v * vec.get(col, 0) for col, v in zip(cols, vals)) == 0
+                    for cols, vals in rows))
+
+
 @pytest.mark.parametrize("lie", [False, True], ids=["product", "bracket"])
 @pytest.mark.parametrize("name", sorted(DERIVATION_ALGEBRAS))
 def test_derivation_system_matches_dense_reference(name, lie):
@@ -420,15 +431,20 @@ def test_derivation_system_matches_dense_reference(name, lie):
     assert system == dense_oracle.derivation_echelon(alg, lie)
     # the standard span ad(T) + central maps, which decompose's law test
     # reads, is every Lie derivation except on the crown, where the outer
-    # derivation adds one dimension: dim Der = dim T - dim Z + 1 there
+    # derivation adds one dimension: dim Der = dim T - dim Z + 1 there.
+    # Off the crown, S has W's dimension and holds W's basis; on the
+    # crown, S's echelon rows, a basis of S, meet W's system
     dim = alg.dim
     outer = name == "crown"
     if lie:
-        standard = algebra_module._standard_system(alg)
+        standard = algebra_module._standard_span(alg)
         if outer:
-            assert solution_dim(system, dim) - solution_dim(standard, dim) == 1
+            assert solution_dim(system, dim) - standard.rank == 1
+            assert all(meets(system, row) for row in standard.red.pivrows)
         else:
-            assert standard == algebra_module._derivations(alg, True)
+            assert standard.rank == solution_dim(system, dim)
+            assert all(standard.contains(vec)
+                       for vec in algebra_module._derivation_basis(alg, True))
     elif outer:
         assert solution_dim(system, dim) == dim - len(center_basis(alg)) + 1
 
@@ -660,6 +676,37 @@ def test_lie_derivation_system_built_once(monkeypatch):
     solve_space(t.alg, MapLaw.ASSOC_BIDER)
     solve_space(t.alg, MapLaw.ASSOC_BIDER)
     assert calls == kernels == [True, False]
+
+
+def test_standard_span_is_fed_its_generators_only(monkeypatch):
+    # S = ad(T) + central maps is built from its own generators: ad(b_x),
+    # one per basis element, and f(x)*z, one per functional f vanishing on
+    # [T, T] and central z.  The reducer gets those and nothing more, and
+    # the one kernel read is the functionals', over dim columns.  On T12
+    # k=6 that is 78 + 12*1 rows for a rank of 89, where the conditions
+    # that cut S out would take a kernel over all 6,084 columns
+    alg = upper_triangular(12, 6).alg
+    dim, nz = alg.dim, len(center_basis(alg))  # construction caches the center
+    fed, kernels = [], []
+    add_row = RowReducer.add_row
+
+    def added(self, row):
+        fed.append(1)
+        return add_row(self, row)
+
+    def counted(system, ncols):
+        out = kernel(system, ncols)
+        kernels.append((ncols, len(out)))
+        return out
+
+    monkeypatch.setattr(RowReducer, "add_row", added)
+    monkeypatch.setattr(algebra_module, "kernel", counted)
+    monkeypatch.setattr(linalg_module, "kernel", counted)
+    span = algebra_module._standard(alg)
+    assert (dim, nz) == (78, 1)
+    assert kernels == [(dim, 12)]
+    assert len(fed) <= dim + 12 * nz
+    assert span.rank == 89
 
 
 def test_decompose_builds_no_derivation_system(monkeypatch):

@@ -9,7 +9,8 @@ verdict on corrupted splits, and the law test must reject a unit change
 at a coordinate exactly when it leaves the solved space, naming the
 reference's witness.  The law test's candidate slices, which bound the
 witness scan, must match a dense per-slice check at every failing unit
-change on small algebras; on the crown, whose outer derivation lies
+change on small algebras, one of them a table with a denominator and a
+change of 1/3; on the crown, whose outer derivation lies
 outside the standard span the law test reads, they must hold every
 failing slice, and decompose must still give the reference's outcome on
 every basis map and on a perturbation of each.  The one builder of
@@ -26,6 +27,7 @@ the CLI must render that witness.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -206,9 +208,16 @@ def test_law_test_matches_space_membership_at_every_coordinate(name):
 WITNESS_ALGEBRAS = {
     "t2": lambda: upper_triangular(2, 1),
     "t3": ALGEBRAS["t3"],
+    # T3 on the basis with E13' = 2*E13, so E12*E23 = 1/2*E13': a table with
+    # a denominator, where the unit change below is 1/3, so a slice's
+    # coefficients carry denominators of their own
+    "t3_scaled": lambda: exact_reference.rescaled(upper_triangular(3, 2), [1, 2, 1]),
     "block21": ALGEBRAS["block21"],
     "crown": CROWN,
 }
+
+# the unit change at one coordinate, 1 unless named here
+WITNESS_UNITS = {"t3_scaled": Fraction(1, 3)}
 
 
 def slice_fails(phi, s):
@@ -236,13 +245,14 @@ def test_witness_matches_dense_scan_at_every_failing_coordinate(name):
     # On the crown a candidate may be an outer Lie derivation, so there the
     # failing slices need only be among the candidates
     t = WITNESS_ALGEBRAS[name]()
+    unit = WITNESS_UNITS.get(name, 1)
     space = solve_space(t.alg, MapLaw.LIE_BIDER)
     dim = t.alg.dim
     failing = 0
     for f in range(dim ** 3):
         ij, k = divmod(f, dim)
         i, j = divmod(ij, dim)
-        phi = space[0] + BilinearMap(t.alg, {(i, j, k): 1})
+        phi = space[0] + BilinearMap(t.alg, {(i, j, k): unit})
         candidates = _candidate_slices(t.alg, phi._rows())
         bad = {s for s in (j, dim + i) if slice_fails(phi, s)}
         if name == "crown":

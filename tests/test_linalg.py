@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +11,7 @@ from dense_oracle import dense_kernel, dense_rref
 from matrix_helpers import from_dense, mul_vector, to_dense
 from liebider import (Inconsistent, RowReducer, SparseMatrix, SpanChecker,
                       canonical_basis, nullspace, rref, solve)
-from liebider.linalg import annihilator, echelon, kernel, reduce_rows
+from liebider.linalg import echelon, kernel, reduce_rows
 
 
 def mat(rows):
@@ -178,24 +177,6 @@ def test_canonical_basis_invariant_under_shuffle(rows, rnd):
     shuffled = [sparse(v) for v in kern]
     rnd.shuffle(shuffled)
     assert canonical_basis(shuffled, len(rows[0])) == [sparse(v) for v in kern]
-
-
-@given(matrices)
-def test_annihilator_is_the_echelon_form_of_the_kernel(rows):
-    # the vectors that vanish on the rows' span are the kernel of the
-    # matrix of the rows: their echelon rows must be its reduced echelon
-    # form, each row gcd-normalized with a positive pivot
-    ncols = len(rows[0])
-    kernel = [[int(v * lcm(*(x.denominator for x in vec))) for v in vec]
-              for vec in dense_kernel(rows, ncols)]
-    assert annihilator([sparse(r) for r in rows], ncols) == split_echelon(dense_rref(kernel),
-                                                                          ncols)
-
-
-def test_annihilator_of_a_plane():
-    # the span of (1, 1, 0) and (0, 2, 1) is cut out by x - y + 2z = 0
-    assert annihilator([{0: 1, 1: 1}, {1: 2, 2: 1}], 3) == (bytes(3), (((0, 1, 2), (1, -1, 2)),))
-    assert annihilator([], 2) == (b"\x01\x01", ())
 
 
 def test_span_checker_membership():
