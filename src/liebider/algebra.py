@@ -50,11 +50,12 @@ structure constants.
 
 A TriangularAlgebra keeps one such _cache too, filled through _cached, for
 what depends on its splitting: its two corner algebras, the bimodule hom
-basis and the factored central systems of tau, tau_inv, lambda0 and
-alpha0.  Its entries hold no Element: a central system's solution is a
-sparse row of the center.  A corner is a FiniteAlgebra
-of its own, built once per side, so its tables and center sit in its own
-_cache and last as long as the triangular algebra does.
+basis and the central systems of tau, tau_inv, lambda0 and alpha0, each
+one tagged SpanChecker reduced once per nonzero right-hand side.  Its
+entries hold no Element: a central system's solution is a sparse row of
+the center.  A corner is a FiniteAlgebra of its own, built once per
+side, so its tables and center sit in its own _cache and last as long as
+the triangular algebra does.
 """
 
 from math import lcm

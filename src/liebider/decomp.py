@@ -43,11 +43,11 @@ prescribed products z*row, solved as a sparse row by
 triangular._center_system and _central_solution; the rows are the
 off-diagonal parts of the brackets (_lambda_system), the m_u for alpha0
 and f for tau_inv, whose answers are z's A-part.  Each system depends on
-the triangular structure only; it is factored once, on first use, into
-its pivot columns and the inverse of an invertible square of them, and
-cached in the triangular algebra's _cache.  Each map then only supplies
-its right-hand side: one product with the inverse, and a check of the
-equation at the keys the target and the used columns reach.
+the triangular structure only; it is built once, on first use, as one
+tagged span (a SpanChecker row per center basis element: its column and
+a 1 at its own tag) and cached in the triangular algebra's _cache.  Each
+map then only supplies its right-hand side: one reduction against the
+span, none for a zero right-hand side, whose answer is zero.
 [b_i, [b_j, r]] and lambda0*[b_i, b_j] are read off the bracket table,
 linear in the support of r and lambda0, and mu is formed at the pairs
 where the residual or, for a nonzero lambda0, the bracket is nonzero.

@@ -411,9 +411,14 @@ class SpanChecker:
     def rank(self):
         return self.red.rank
 
+    def reduce(self, vec):
+        """vec, its denominators cleared, reduced against the span: a
+        gcd-normalized {col: int} row, empty iff vec lies in the span."""
+        return self.red.reduce_only(self.red.integer_row(_sparse(vec)))
+
     def contains(self, vec):
         """True iff vec lies in the span."""
-        return not self.red.reduce_only(self.red.integer_row(_sparse(vec)))
+        return not self.reduce(vec)
 
 
 def _sparse(vec):

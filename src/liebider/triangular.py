@@ -16,7 +16,7 @@ import random
 from .algebra import (Element, FiniteAlgebra, MixedAlgebras, _brackets, _cached, _combine,
                       _generators, _integer_table, _times_basis, center_basis, is_commutative,
                       multiply)
-from .linalg import RowReducer, SpanChecker, _sparse, canonical_vector, echelon, kernel
+from .linalg import RowReducer, SpanChecker, _sparse, canonical_vector, echelon, exact, kernel
 
 
 class ConstructionError(ValueError):
@@ -103,9 +103,10 @@ class TriangularAlgebra:
     center, from the integer bracket table, is computed eagerly.  What
     depends on the triangular structure alone (the corner algebras, the
     bimodule hom basis, the central systems of tau, tau_inv, lambda0 and
-    alpha0, all built by _center_system) is built on first use into _cache
-    through algebra._cached; all queries are pure.  Every query taking an
-    Element raises MixedAlgebras on one of another algebra.
+    alpha0, each one tagged span from _center_system that solves a target
+    in one reduction, a zero one in none) is built on first use into
+    _cache through algebra._cached; all queries are pure.  Every query
+    taking an Element raises MixedAlgebras on one of another algebra.
     """
 
     __slots__ = ("alg", "e", "f", "a_indices", "m_indices", "b_indices",
@@ -155,8 +156,8 @@ class TriangularAlgebra:
 
     def _check_faithful(self):
         # a ∈ A with a·M = 0 forces a = 0, and M·b = 0 forces b = 0: each
-        # actor's action on the eTf basis, as one integer row over the
-        # (u, o) coordinates, so the split is faithful iff the rows are
+        # actor's action on the eTf basis, as one row over the (u, o)
+        # coordinates, so the split is faithful iff the rows are
         # independent, the rank the number of actors
         mul = self.alg._mul_basis
         dm = len(self.m_indices)
@@ -164,11 +165,10 @@ class TriangularAlgebra:
         for side, actors, error in (
                 ("left", self.a_indices, "bimodule not faithful: some a in A kills eTf"),
                 ("right", self.b_indices, "bimodule not faithful: some b in B kills eTf")):
-            zero, rows = echelon((RowReducer.integer_row(
-                {u * dm + pos[k]: v for u, gu in enumerate(self.m_indices)
-                 for k, v in (mul(g, gu) if side == "left" else mul(gu, g)).items()})
-                for g in actors), dm * dm)
-            if sum(zero) + len(rows) != len(actors):
+            rows = ({u * dm + pos[k]: v for u, gu in enumerate(self.m_indices)
+                     for k, v in (mul(g, gu) if side == "left" else mul(gu, g)).items()}
+                    for g in actors)
+            if SpanChecker(rows, dm * dm).rank != len(actors):
                 raise BadSplit(error)
 
     # -- Peirce structure ------------------------------------------------
@@ -242,35 +242,16 @@ def peirce(t, x):
 
 
 def _central_system(columns):
-    """The system sum_s c_s*columns[s] = target over sparse {key: value}
-    columns, factored once: (columns, pivots, keys, inverse).
-
-    pivots are the columns independent of the earlier ones, the pivot
-    columns of the system's reduced echelon form.  keys are the first
-    keys, in sorted order, at which the pivot columns' entries form an
-    invertible square matrix, and inverse is that matrix's inverse, one
-    row per pivot column."""
-    keys = sorted(set().union(*columns))
+    """The system sum_s c_s*columns[s] = target over m sparse {key: value}
+    columns, as (columns, index, span): index numbers the n keys they
+    reach, and span holds one row [column s | 1 at tag n + m - 1 - s] per
+    column.  The tags run in reverse, so a column that depends on earlier
+    ones leaves an echelon row with its own tag as pivot."""
+    keys = dict.fromkeys(key for col in columns for key in col)
     index = {key: n for n, key in enumerate(keys)}
-    red = RowReducer(len(keys))
-    pivots = [s for s, col in enumerate(columns)
-              if red.add_fraction_row({index[key]: v for key, v in col.items()}) is not None]
-    # rows [M[key, pivots] | unit row n] at the keys that add rank; their
-    # reduced echelon form is [I | inverse]
-    npiv = len(pivots)
-    square = RowReducer(2 * npiv)
-    chosen = []
-    for key in keys:
-        if len(chosen) == npiv:
-            break
-        row = {n: columns[s][key] for n, s in enumerate(pivots) if key in columns[s]}
-        # independent of the rows chosen so far iff a pivot column survives
-        if min(square.reduce_only(square.integer_row(row)), default=npiv) < npiv:
-            row[npiv + len(chosen)] = 1
-            square.add_fraction_row(row)
-            chosen.append(key)
-    inverse = [[row.get(npiv + m, 0) for m in range(npiv)] for row in square.echelon_rows()]
-    return columns, pivots, chosen, inverse
+    last = len(index) + len(columns) - 1
+    return columns, index, SpanChecker(({index[key]: v for key, v in col.items()} | {last - s: 1}
+                                        for s, col in enumerate(columns)), last + 2)
 
 
 def _center_system(t, rows):
@@ -294,18 +275,24 @@ def _central_solution(t, system, target):
     ({key: nonzero value}), free coefficients zero, as linalg.solve gives
     it; None if there is none.
 
-    The pivot coefficients are the inverse times the target at the
-    system's keys.  They solve the system iff the sum they make equals the
-    target at the target's keys and at those of the columns they use;
-    everywhere else both sides vanish.
+    Zero solves the zero target.  Any other target, with 1 at a marker
+    column after the tags, is reduced once: what is left is row[marker]
+    times it less sum_s a_s*[column s | 1 at tag s], so if no key column
+    is left, c_s = -row[tag s]/row[marker]; a dependent column's tag is a
+    pivot, so its coefficient is zero.
     """
-    columns, pivots, keys, inverse = system
-    rhs = [target.get(key, 0) for key in keys]
-    coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
-    used = [(c, s) for c, s in zip(coeffs, pivots) if c]
-    if _combine([(c, columns[s]) for c, s in used]) != target:
+    if not target:
+        return {}
+    columns, index, span = system
+    if not target.keys() <= index.keys():
         return None
-    return _combine([(c, _sparse(t.center[s].coords)) for c, s in used])
+    marker = len(index) + len(columns)
+    row = span.reduce({index[key]: v for key, v in target.items()} | {marker: 1})
+    if min(row) < len(index):
+        return None
+    m = row[marker]
+    return _combine([(exact(-row[marker - 1 - s], m), _sparse(t.center[s].coords))
+                     for s in range(len(columns)) if marker - 1 - s in row])
 
 
 def _central_part(t, row, side):

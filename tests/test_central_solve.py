@@ -1,20 +1,24 @@
-"""The factored central solve agrees with linalg.solve.
+"""The central solve agrees with linalg.solve.
 
 triangular._center_system builds the system of the central z with
 prescribed products z*row: one column per center basis element z_s,
 holding the coordinates of z_s*row at (key, o) for each (key, row).
-_central_system factors it once: its pivot columns, the first keys where
-they form an invertible square, and that square's inverse.
-_central_solution then solves each right-hand side by one product with the
-inverse and a check of the full equation, and returns z = sum_s c_s*z_s as
-a sparse row.  The reference here stacks the same columns and the target
-into a SparseMatrix, solves it with linalg.solve (free coefficients zero),
-sums the center basis with the coefficients and maps an inconsistent
-system to None.  Both must give the same z on the lambda0, alpha0, tau and
-tau_inv systems of every oracle algebra, and on hand-built systems with
-dependent and zero columns, redundant rows, an inconsistent target and a
-target at a key no column reaches.  The columns themselves are checked
-against Element products: pi_M(z*[b_i, b_j]), z*m_u, z*e and z*f.
+_central_system keeps it as one tagged span: a SpanChecker with one row
+[column s | 1 at tag s] per column, the tags in reverse column order.
+_central_solution answers the zero target with zero and reduces any
+other target, with 1 at a marker column, once against the span: a key
+column left means no solution, and otherwise the coefficients are read
+off the tags, and z = sum_s c_s*z_s comes back as a sparse row.  The
+reference here stacks the same columns and the target into a
+SparseMatrix, solves it with linalg.solve (free coefficients zero), sums
+the center basis with the coefficients and maps an inconsistent system to
+None.  Both must give the same z on the lambda0, alpha0, tau and tau_inv
+systems of every oracle algebra, and on hand-built systems with dependent,
+zero and Fraction-valued columns, redundant rows, an inconsistent target
+and a target at a key no column reaches.  The columns themselves are
+checked against Element products: pi_M(z*[b_i, b_j]), z*m_u, z*e and z*f,
+and on the algebras here they are independent, so each solution is
+unique.
 """
 
 import random
@@ -23,13 +27,13 @@ from fractions import Fraction
 import pytest
 
 from liebider import (BilinearMap, FiniteAlgebra, Inconsistent, MapLaw, SparseMatrix,
-                      TriangularAlgebra, lie_bracket, make_extremal, multiply, solve,
-                      solve_space, upper_triangular)
+                      TriangularAlgebra, block_upper_triangular, lie_bracket, make_extremal,
+                      multiply, rref, solve, solve_space, upper_triangular)
 from liebider.decomp import _lambda_system, _solve_alpha0
 from liebider.linalg import _sparse
 from liebider.triangular import (_center_system, _central_part, _central_solution,
                                  _central_system)
-from test_decompose_oracle import ALGEBRAS
+from test_decompose_oracle import ALGEBRAS, CROWN
 
 CASES = dict(ALGEBRAS, t2=lambda: upper_triangular(2, 1))
 
@@ -189,6 +193,27 @@ def test_columns_match_element_products(name):
                                       ("b", t.f, t.proj_b(z), tau_b[s])):
             assert multiply(z, unit) == part
             assert col == {(side, o): c for o, c in enumerate(multiply(z, unit).coords) if c}
+
+
+UNIQUE_CASES = dict(CASES, crown=CROWN, t6k3=lambda: upper_triangular(6, 3),
+                    block221=lambda: block_upper_triangular([2, 2, 1], 1),
+                    t2sum2=lambda: t2_sum(2), t2sum3=lambda: t2_sum(3), t2sum5=lambda: t2_sum(5))
+
+
+@pytest.mark.parametrize("name", sorted(UNIQUE_CASES))
+def test_central_columns_are_independent(name):
+    # for central z, z*m = pi_A(z)*m = m*pi_B(z), so z*m = 0 for every m in
+    # eTf forces z = 0 by faithfulness; each system's rows reach every m:
+    # [e, m] = m for lambda0, the m_u for alpha0, z*e = pi_A(z) for tau and
+    # z*f = pi_B(z) for tau_inv.  So the columns have rank dim Z, and each
+    # system has at most one solution
+    t = UNIQUE_CASES[name]()
+    for system in (_lambda_system(t), alpha0_system(t), tau_system(t, "a"), tau_system(t, "b")):
+        columns = system[0]
+        keys = {key: n for n, key in enumerate(sorted(set().union(*columns)))}
+        entries = [(s, keys[key], v) for s, col in enumerate(columns) for key, v in col.items()]
+        _, pivots = rref(SparseMatrix(len(columns), len(keys), entries))
+        assert len(columns) == len(pivots) == len(t.center)
 
 
 def test_hand_built_systems_agree_with_solve():

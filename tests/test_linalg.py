@@ -185,12 +185,23 @@ def test_span_checker_membership():
     assert sc.contains((2, 3, 5))
     assert sc.contains((0, 0, 0))
     assert not sc.contains((1, 0, 0))
+    # reduce is empty iff contains holds; what is left is gcd-normalized
+    for vec in [(2, 3, 5), (0, 0, 0), {0: 1, 1: 1, 2: 2}, (1, 0, 0), {2: -3}, (0, 2, 4)]:
+        assert (sc.reduce(vec) == {}) == sc.contains(vec)
+    assert sc.reduce((1, 0, 0)) == {2: 1}
+    assert sc.reduce((0, 2, 4)) == {2: 1}
 
 
 def test_span_checker_fractional_vectors():
     sc = SpanChecker([(Fraction(1, 2), Fraction(1, 3))], 2)
     assert sc.contains((3, 2))
     assert not sc.contains((1, 1))
+    # a vector with Fractions comes back reduced as an int row
+    assert sc.reduce((Fraction(3, 2), 1)) == {}
+    left = sc.reduce({0: Fraction(1, 2), 1: Fraction(1, 5)})
+    assert left == {1: 1} and all(type(v) is int for v in left.values())
+    left = sc.reduce((Fraction(2, 3), Fraction(-7, 4)))
+    assert left and all(type(v) is int for v in left.values())
 
 
 # -- RowReducer internals ---------------------------------------------------
