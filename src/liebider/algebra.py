@@ -28,7 +28,8 @@ derivations (ad(T) plus the central maps) as a linalg.SpanChecker fed
 S's own generators (_standard, read by the law test), read off the
 product table and the center with no identity rows to solve.  One
 helper, _times_basis, builds every row of x*b_p or b_p*x over the basis
-that any module needs.  The derivation identity is fed only at the pairs
+that any module needs; one, _at, extends a table to two sparse rows.  The
+derivation identity is fed only at the pairs
 that meet a generating set G, read off the table's one-term products
 (_generators): the x at which a map obeys the identity against every y
 form a subalgebra (by associativity, or by the Jacobi identity for the
@@ -51,11 +52,11 @@ structure constants.
 A TriangularAlgebra keeps one such _cache too, filled through _cached, for
 what depends on its splitting: its two corner algebras, the bimodule hom
 basis and the central systems of tau, tau_inv, lambda0 and alpha0, each
-one tagged SpanChecker reduced once per nonzero right-hand side.  Its
-entries hold no Element: a central system's solution is a sparse row of
-the center.  A corner is a FiniteAlgebra of its own, built once per
-side, so its tables and center sit in its own _cache and last as long as
-the triangular algebra does.
+one tagged SpanChecker reduced once per nonzero right-hand side, kept
+without its columns.  Its entries hold no Element: a central system's
+solution is a sparse row of the center.  A corner is a FiniteAlgebra of
+its own, built once per side, so its tables and center sit in its own
+_cache and last as long as the triangular algebra does.
 """
 
 from math import lcm
@@ -266,6 +267,14 @@ def _combine(terms):
                 v = c * v
             out[k] = out[k] + v if k in out else v
     return {k: v for k, v in out.items() if v}
+
+
+def _at(tab, x, y):
+    """The table tab {(i, j): {k: c}} at sparse rows x and y, by bilinear
+    extension over the pairs of their supports that tab holds: phi(x, y)
+    for phi._rows(), x*y for alg._prod and [x, y] for the bracket table."""
+    return _combine([(a * b, tab[i, j]) for i, a in x.items() for j, b in y.items()
+                     if (i, j) in tab])
 
 
 def _times_basis(alg, x, left):

@@ -21,12 +21,13 @@ where it does not.  A one-sided law's maps are shifted copies of the
 derivation basis, so each derivation is divided by its trailing entry
 once and then shifted to every fixed index.
 lemma31_failures sweeps the four-term identity of Lemma 3.1 over every
-basis quadruple on the bracket table; lemma31_residual is the
-Element-arithmetic reference it is tested against.
+basis quadruple, each term's bracket read by algebra._at on the bracket
+table; lemma31_residual is the Element-arithmetic reference it is tested
+against.
 """
 
 import enum
-from .algebra import (Element, _brackets, _combine, _derivation_basis, _derivations,
+from .algebra import (Element, _at, _brackets, _combine, _derivation_basis, _derivations,
                       _factor_index, _identity_rows, _table, lie_bracket, multiply)
 from .linalg import SparseMatrix, echelon, exact, kernel
 
@@ -426,8 +427,7 @@ def lemma31_failures(phi):
     residuals = {}
     for (p, q), val in phi._rows().items():
         for (s, t), row in br.items():
-            term = _combine([(c * w, br[(k, m)]) for k, c in val.items()
-                             for m, w in row.items() if (k, m) in br])
+            term = _at(br, val, row)
             if not term:
                 continue
             # the term at (x, a, b, y), (x, b, y, a), (y, a, x, b) and,

@@ -37,7 +37,7 @@ so no verdict rests on S = W.  On an algebra with an outer derivation
 the scan is the price: on the crown (the 4-cycle poset split at {1, 2},
 dim S = 11, dim W = 12) valid maps have candidates, and their scan runs.
 r = phi(e, e) is read from phi's rows at the pairs where e is nonzero,
-by _at, which lemma_suite() uses for its values at 1, e and f.
+by algebra._at, which lemma_suite() uses for its values at 1, e and f.
 lambda0, like alpha0 and tau_inv in lemma_suite(), is the central z with
 prescribed products z*row, solved as a sparse row by
 triangular._center_system and _central_solution; the rows are the
@@ -45,8 +45,8 @@ off-diagonal parts of the brackets (_lambda_system), the m_u for alpha0
 and f for tau_inv, whose answers are z's A-part.  Each system depends on
 the triangular structure only; it is built once, on first use, as one
 tagged span (a SpanChecker row per center basis element: its column and
-a 1 at its own tag) and cached in the triangular algebra's _cache.  Each
-map then only supplies its right-hand side: one reduction against the
+a 1 at its own tag), cached without the columns in the triangular
+algebra's _cache.  Each map then only supplies its right-hand side: one reduction against the
 span, none for a zero right-hand side, whose answer is zero.
 [b_i, [b_j, r]] and lambda0*[b_i, b_j] are read off the bracket table,
 linear in the support of r and lambda0, and mu is formed at the pairs
@@ -61,10 +61,10 @@ re-verification and lemma_suite() run in int arithmetic there, and a
 table or map with denominators takes the same code with Fractions.
 Rows of x*b_p over the basis come from algebra._times_basis.
 lemma_suite() works on the same rows: phi(b_i, b_j) is phi's row at
-(i, j), a product x*y of rows is _at on the product table, Peirce parts
-keep the coordinates of their block, and centrality is the center
-span's membership test, as in decompose(); it evaluates no Element
-product and never calls phi.  verify_decomposition() reads
+(i, j), a product x*y of rows is algebra._at on the product table,
+Peirce parts keep the coordinates of their block, and centrality is the
+center span's membership test, as in decompose(); it evaluates no
+Element product and never calls phi.  verify_decomposition() reads
 [b_i, b_p] as the product row b_i*b_p plus the row b_p*b_i negated,
 indexed once per algebra by right factor p from the product table
 itself, by a function of its own (_verify_brackets) under a cache key of
@@ -82,7 +82,7 @@ proof, the suite tests both candidate signs and records which one holds,
 instead of silently picking a side.
 """
 
-from .algebra import _brackets, _cached, _combine, _standard, _times_basis
+from .algebra import _at, _brackets, _cached, _combine, _standard, _times_basis
 from .bider import BilinearMap
 from .linalg import _sparse, exact
 from .triangular import _central_part, _central_solution, _center_system, _element
@@ -131,14 +131,6 @@ class Decomposition:
     def __repr__(self):
         return (f"Decomposition(lambda0={self.lambda0!r}, r={self.r!r}, "
                 f"mu with {len(self.mu.items())} coefficients)")
-
-
-def _at(rows, x, y):
-    """The bilinear map with rows {(i, j): {k: coefficient}} at sparse rows
-    x and y, by bilinear extension over their supports: phi(x, y) for
-    phi._rows(), and the product x*y for the product table alg._prod."""
-    empty = {}
-    return _combine([(a * b, rows.get((i, j), empty)) for i, a in x.items() for j, b in y.items()])
 
 
 def _lambda_system(t):

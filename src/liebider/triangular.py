@@ -8,7 +8,9 @@ The three example families are upper triangular matrices T_n (the block
 upper triangular algebra with n blocks of size 1), block upper triangular
 matrices, and incidence algebras of finite posets.  All three are spanned by
 matrix units at a set of positions closed under composition, split by a sum
-of diagonal units, and built by one matrix-unit builder.
+of diagonal units, and built by one matrix-unit builder.  One function,
+_action_matrix, builds every action on M that the faithfulness check, the
+bimodule hom system and the standard-form generators of cond_iii read.
 """
 
 import random
@@ -104,9 +106,10 @@ class TriangularAlgebra:
     depends on the triangular structure alone (the corner algebras, the
     bimodule hom basis, the central systems of tau, tau_inv, lambda0 and
     alpha0, each one tagged span from _center_system that solves a target
-    in one reduction, a zero one in none) is built on first use into
-    _cache through algebra._cached; all queries are pure.  Every query
-    taking an Element raises MixedAlgebras on one of another algebra.
+    in one reduction, a zero one in none, kept without its columns) is
+    built on first use into _cache through algebra._cached; all queries
+    are pure.  Every query taking an Element raises MixedAlgebras on one
+    of another algebra.
     """
 
     __slots__ = ("alg", "e", "f", "a_indices", "m_indices", "b_indices",
@@ -156,18 +159,13 @@ class TriangularAlgebra:
 
     def _check_faithful(self):
         # a ∈ A with a·M = 0 forces a = 0, and M·b = 0 forces b = 0: each
-        # actor's action on the eTf basis, as one row over the (u, o)
-        # coordinates, so the split is faithful iff the rows are
-        # independent, the rank the number of actors
-        mul = self.alg._mul_basis
+        # actor's action on eTf is one row, so the split is faithful iff
+        # the rows are independent, the rank the number of actors
         dm = len(self.m_indices)
-        pos = {g: u for u, g in enumerate(self.m_indices)}
-        for side, actors, error in (
-                ("left", self.a_indices, "bimodule not faithful: some a in A kills eTf"),
-                ("right", self.b_indices, "bimodule not faithful: some b in B kills eTf")):
-            rows = ({u * dm + pos[k]: v for u, gu in enumerate(self.m_indices)
-                     for k, v in (mul(g, gu) if side == "left" else mul(gu, g)).items()}
-                    for g in actors)
+        for left, actors, error in (
+                (True, self.a_indices, "bimodule not faithful: some a in A kills eTf"),
+                (False, self.b_indices, "bimodule not faithful: some b in B kills eTf")):
+            rows = (_action_matrix(self, self.alg._prod, g, left) for g in actors)
             if SpanChecker(rows, dm * dm).rank != len(actors):
                 raise BadSplit(error)
 
@@ -243,15 +241,16 @@ def peirce(t, x):
 
 def _central_system(columns):
     """The system sum_s c_s*columns[s] = target over m sparse {key: value}
-    columns, as (columns, index, span): index numbers the n keys they
-    reach, and span holds one row [column s | 1 at tag n + m - 1 - s] per
-    column.  The tags run in reverse, so a column that depends on earlier
-    ones leaves an echelon row with its own tag as pivot."""
+    columns, as (m, index, span), without the columns: index numbers the
+    n keys they reach, and span holds one row [column s | 1 at tag
+    n + m - 1 - s] per column.  The tags run in reverse, so a column that
+    depends on earlier ones leaves an echelon row with its own tag as pivot."""
     keys = dict.fromkeys(key for col in columns for key in col)
     index = {key: n for n, key in enumerate(keys)}
-    last = len(index) + len(columns) - 1
-    return columns, index, SpanChecker(({index[key]: v for key, v in col.items()} | {last - s: 1}
-                                        for s, col in enumerate(columns)), last + 2)
+    m = len(columns)
+    last = len(index) + m - 1
+    return m, index, SpanChecker(({index[key]: v for key, v in col.items()} | {last - s: 1}
+                                  for s, col in enumerate(columns)), last + 2)
 
 
 def _center_system(t, rows):
@@ -283,16 +282,16 @@ def _central_solution(t, system, target):
     """
     if not target:
         return {}
-    columns, index, span = system
+    count, index, span = system
     if not target.keys() <= index.keys():
         return None
-    marker = len(index) + len(columns)
+    marker = len(index) + count
     row = span.reduce({index[key]: v for key, v in target.items()} | {marker: 1})
     if min(row) < len(index):
         return None
     m = row[marker]
     return _combine([(exact(-row[marker - 1 - s], m), _sparse(t.center[s].coords))
-                     for s in range(len(columns)) if marker - 1 - s in row])
+                     for s in range(count) if marker - 1 - s in row])
 
 
 def _central_part(t, row, side):
@@ -331,13 +330,15 @@ def tau_inv(t, b):
     return _central_part_map(t, b, "b")
 
 
-def _action(t, tab, g, left):
-    """m_v → b_g·m_v (left) or m_v·b_g, read from the integer product
-    table tab: one {u: p} per v, the image's coordinates over the eTf
-    basis m_u."""
+def _action_matrix(t, tab, g, left):
+    """m → b_g·m (left) or m → m·b_g on eTf, read from the product table
+    tab, as the dm×dm matrix {o·dm + u: p}: the image of m_u is p at m_o.
+    The one builder of an action on eTf."""
+    dm = len(t.m_indices)
     pos = {gu: u for u, gu in enumerate(t.m_indices)}
-    return [{pos[k]: p for k, p in tab.get((g, gv) if left else (gv, g), {}).items()}
-            for gv in t.m_indices]
+    empty = {}
+    return {pos[k] * dm + u: p for u, gu in enumerate(t.m_indices)
+            for k, p in tab.get((g, gu) if left else (gu, g), empty).items()}
 
 
 def bimodule_hom_basis(t):
@@ -345,12 +346,11 @@ def bimodule_hom_basis(t):
 
     A hom is a dm×dm matrix H over the eTf basis, h(m_j) = Σ_i H[i][j] m_i,
     commuting with the left A-action and the right B-action.  The system
-    is built from the sparse integer product table, one row per actor, j
-    and output coordinate, with the generators of each corner as the
-    actors (see _hom_rows), and solved through linalg.echelon and
-    linalg.kernel.  Returned as
-    tuples of row tuples, one per basis hom, in the canonical nullspace
-    order of the flattened (i, j) unknowns.
+    has one row per actor, j and output coordinate, with the generators of
+    each corner as the actors, acting by _action_matrix on the integer
+    product table (see _hom_rows), and is solved through linalg.echelon
+    and linalg.kernel.  Returned as tuples of row tuples, one per basis
+    hom, in the canonical nullspace order of the flattened (i, j) unknowns.
     """
     return list(_cached(t, "homs", _bimodule_homs))
 
@@ -379,11 +379,12 @@ def _hom_rows(t):
     for left, side in ((True, "a"), (False, "b")):
         corner, glob = t.corner(side)
         for g in _generators(corner._prod, corner.dim):
-            image = _action(t, tab, glob[g], left)
-            into = [[] for _ in range(dm)]  # into[o] = [(u, p)]: the image of m_u is p at m_o
-            for u, im in enumerate(image):
-                for o, p in im.items():
-                    into[o].append((u, p))
+            image = [{} for _ in range(dm)]  # image[u] = {o: p}: m_u goes to p at m_o
+            into = [[] for _ in range(dm)]  # into[o] = [(u, p)]
+            for ou, p in _action_matrix(t, tab, glob[g], left).items():
+                o, u = divmod(ou, dm)
+                image[u][o] = p
+                into[o].append((u, p))
             for j in range(dm):
                 for o in range(dm):
                     row = {o * dm + u: p for u, p in image[j].items()}
@@ -396,20 +397,13 @@ def _hom_rows(t):
 
 def _standard_form_generators(t):
     """m → a₀m and m → mb₀ over the corner-center bases, each as the
-    {u·dm + v: c} entries of its matrix (m_v goes to Σ_u c·m_u), from the
-    product table."""
-    dm = len(t.m_indices)
-    pos = {g: u for u, g in enumerate(t.m_indices)}
+    {u·dm + v: c} entries of its matrix (m_v goes to Σ_u c·m_u): the sum
+    of c·_action_matrix over a₀'s (resp. b₀'s) coefficients c."""
     gens = []
     for side in ("a", "b"):
         corner, glob = t.corner(side)
-        for z in center_basis(corner):
-            x = [0] * t.alg.dim
-            for j, c in enumerate(z.coords):
-                x[glob[j]] = c
-            rows = _times_basis(t.alg, x, side == "a")
-            gens.append({pos[k] * dm + v: p for v, g in enumerate(t.m_indices)
-                         for k, p in rows[g].items()})
+        gens += [_combine([(c, _action_matrix(t, t.alg._prod, glob[j], side == "a"))
+                           for j, c in enumerate(z.coords) if c]) for z in center_basis(corner)]
     return gens
 
 

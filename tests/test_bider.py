@@ -729,20 +729,29 @@ def test_decompose_builds_no_derivation_system(monkeypatch):
 @pytest.mark.parametrize("n,k,whole", [(2, 1, True), (3, 2, True), (4, 2, False)],
                          ids=["t2", "t3", "t4"])
 def test_lemma31_sweep_counts_nonzero_residuals(n, k, whole):
-    alg = upper_triangular(n, k).alg
+    t = upper_triangular(n, k)
+    alg = t.alg
     basis = alg.basis()
     quads = list(product(basis, repeat=4))
     space = solve_space(alg, MapLaw.LIE_BIDER)
     # phi(E11, E12) gains E11: off the law, and Lemma 3.1 sees it.  The
     # dense reference takes seconds a map at T4's 10⁴ quadruples, so there
     # the perturbed map alone pins the sweep on the larger table
-    perturbed = space[0] + BilinearMap(alg, {(0, 1, 0): 1})
-    maps = (space if whole else []) + [perturbed]
+    perturbed = [space[0] + BilinearMap(alg, {(0, 1, 0): 1})]
+    if n == 3:
+        # C = g(x)h(y)*1 with g = h the E11 coordinate is central-valued,
+        # its row at (E11, E11) the unit; E12 added at that same pair is
+        # not central, so a sweep that skips central rows must keep it
+        g = [1] + [0] * (alg.dim - 1)
+        central = make_central(t, g, g, alg.unit_element())
+        assert t.is_central(central.value(0, 0))
+        perturbed.append(central + BilinearMap(alg, {(0, 0, 1): 1}))
+    maps = (space if whole else []) + perturbed
     want = [sum(not lemma31_residual(phi, quad).is_zero() for quad in quads)
             for phi in maps]
     assert [lemma31_failures(phi) for phi in maps] == want
-    assert want[:-1] == [0] * (len(maps) - 1)
-    assert want[-1] > 0
+    assert want[:-len(perturbed)] == [0] * (len(maps) - len(perturbed))
+    assert all(w > 0 for w in want[-len(perturbed):])
 
 
 def test_tables_and_decompositions_leave_no_reference_cycles():

@@ -12,13 +12,16 @@ off the tags, and z = sum_s c_s*z_s comes back as a sparse row.  The
 reference here stacks the same columns and the target into a
 SparseMatrix, solves it with linalg.solve (free coefficients zero), sums
 the center basis with the coefficients and maps an inconsistent system to
-None.  Both must give the same z on the lambda0, alpha0, tau and tau_inv
-systems of every oracle algebra, and on hand-built systems with dependent,
-zero and Fraction-valued columns, redundant rows, an inconsistent target
-and a target at a key no column reaches.  The columns themselves are
-checked against Element products: pi_M(z*[b_i, b_j]), z*m_u, z*e and z*f,
-and on the algebras here they are independent, so each solution is
-unique.
+None.  The cached system keeps only its column count, key index and
+span, so the reference builds each system's columns itself, from Element
+products: pi_M(z*[b_i, b_j]) for lambda0, z*m_u for alpha0, z*e for tau
+and z*f for tau_inv.  Both must give the same z on those four systems of
+every oracle algebra, and on hand-built systems with dependent, zero and
+Fraction-valued columns, redundant rows, an inconsistent target and a
+target at a key no column reaches.  Each Element-product column solves
+to its own center basis element, which pins the cached system to those
+columns, and on the algebras here the columns are independent, so each
+solution is unique.
 """
 
 import random
@@ -65,14 +68,15 @@ def by_solve(t, columns, target):
     return combination(coeffs, center_rows(t))
 
 
-def assert_agree(t, system, targets):
-    """Both solves agree on every target; returns which kinds of outcome
-    were seen: True for None, False for a solution."""
+def assert_agree(t, system, columns, targets):
+    """Both solves agree on every target, the reference over columns;
+    returns which kinds of outcome were seen: True for None, False for a
+    solution."""
     seen = set()
     for n, target in enumerate(targets):
         target = {key: v for key, v in target.items() if v}
         got = _central_solution(t, system, target)
-        assert got == by_solve(t, system[0], target), n
+        assert got == by_solve(t, columns, target), n
         seen.add(got is None)
     return seen
 
@@ -104,6 +108,42 @@ def tau_system(t, side):
     return _center_system(t, [(side, _sparse((t.e if side == "a" else t.f).coords))])
 
 
+def nonzero(pairs):
+    return {key: c for key, c in pairs if c}
+
+
+def lambda0_columns(t):
+    """pi_M(z*[b_i, b_j]) at ((i, j), o), one column per center basis
+    element z, from Element products."""
+    basis = t.alg.basis()
+    return [nonzero((((i, j), o), c) for i, x in enumerate(basis) for j, y in enumerate(basis)
+                    for o, c in enumerate(t.proj_m(multiply(z, lie_bracket(x, y))).coords))
+            for z in t.center]
+
+
+def alpha0_columns(t):
+    """z*m_u at (u, o), from Element products."""
+    basis = t.alg.basis()
+    return [nonzero(((u, o), c) for u in t.m_indices
+                    for o, c in enumerate(multiply(z, basis[u]).coords)) for z in t.center]
+
+
+def tau_columns(t, side):
+    """z*e (side 'a') or z*f ('b') at (side, o), from Element products."""
+    unit = t.e if side == "a" else t.f
+    return [nonzero(((side, o), c) for o, c in enumerate(multiply(z, unit).coords))
+            for z in t.center]
+
+
+def systems(t):
+    """(name, cached system, its columns from Element products) for the
+    four central systems."""
+    return [("lambda0", _lambda_system(t), lambda0_columns(t)),
+            ("alpha0", alpha0_system(t), alpha0_columns(t)),
+            ("tau", tau_system(t, "a"), tau_columns(t, "a")),
+            ("tau_inv", tau_system(t, "b"), tau_columns(t, "b"))]
+
+
 def t2_sum(n):
     """The direct sum of n copies of T2, each split at its first unit: a
     triangular algebra whose center, spanned by the copies' units, has
@@ -121,22 +161,22 @@ def t2_sum(n):
 def test_lambda0_targets_agree_with_solve(name):
     t = CASES[name]()
     rnd = random.Random(f"lambda0-{name}")
-    system = _lambda_system(t)
+    system, columns = _lambda_system(t), lambda0_columns(t)
     m_set = set(t.m_indices)
-    keys = sorted(system[0][0]) + [((0, 0), t.m_indices[0])]
+    keys = sorted(columns[0]) + [((0, 0), t.m_indices[0])]
     targets = []
     for phi in maps(t, rnd):
         rest = phi - make_extremal(t, phi(t.e, t.e))
         target = {((i, j), k): v for i, j, k, v in rest.items() if k in m_set}
         targets += [target, shifted(rnd, target, keys)]
-    assert assert_agree(t, system, targets) == {True, False}
+    assert assert_agree(t, system, columns, targets) == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_alpha0_targets_agree_with_solve(name):
     t = CASES[name]()
     rnd = random.Random(f"alpha0-{name}")
-    system = alpha0_system(t)
+    system, columns = alpha0_system(t), alpha0_columns(t)
     keys = [(u, o) for u in t.m_indices for o in range(t.alg.dim)]
     e = _sparse(t.e.coords)
     targets = []
@@ -144,11 +184,11 @@ def test_alpha0_targets_agree_with_solve(name):
         target = {(u, o): c for u in t.m_indices
                   for o, c in enumerate(phi(t.e, t.alg.basis_element(u)).coords)}
         # _solve_alpha0 returns the A-part of the solution
-        z = by_solve(t, system[0], {key: v for key, v in target.items() if v})
+        z = by_solve(t, columns, {key: v for key, v in target.items() if v})
         want = None if z is None else {k: v for k, v in z.items() if k in t.a_indices}
         assert _solve_alpha0(t, phi._rows(), e) == want
         targets += [target, shifted(rnd, target, keys)]
-    assert assert_agree(t, system, targets) == {True, False}
+    assert assert_agree(t, system, columns, targets) == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -156,43 +196,38 @@ def test_alpha0_targets_agree_with_solve(name):
 def test_tau_targets_agree_with_solve(name, side):
     t = CASES[name]()
     rnd = random.Random(f"tau-{side}-{name}")
-    system = tau_system(t, side)
+    system, columns = tau_system(t, side), tau_columns(t, side)
     indices = t.a_indices if side == "a" else t.b_indices
     rows = [{g: z.coords[g] for g in indices} for z in t.center]
     rows += [{g: 1} for g in indices]
     rows += [shifted(rnd, row, list(indices)) for row in rows]
     rows += [{}, {t.m_indices[0]: 1}]   # zero; a key outside the corner
     targets = [{(side, k): v for k, v in row.items()} for row in rows]
-    assert assert_agree(t, system, targets) == {True, False}
+    assert assert_agree(t, system, columns, targets) == {True, False}
     for row, target in zip(rows, targets):
         row = {k: v for k, v in row.items() if v}
-        assert _central_part(t, row, side) == by_solve(t, system[0], target)
+        assert _central_part(t, row, side) == by_solve(t, columns, target)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_columns_match_element_products(name):
     # for central z: z*pi_M(x) = pi_M(z*x), z*m = pi_A(z)*m, z*e = pi_A(z)
-    # and z*f = pi_B(z), so each column is the product the old per-system
-    # builders read
+    # and z*f = pi_B(z), so each Element-product column is the one the
+    # system was built from: the target column s solves to z_s, and the
+    # system reaches the columns' keys and no other
     t = CASES[name]()
-    alg = t.alg
-    basis = alg.basis()
-    lam, alpha0 = _lambda_system(t)[0], alpha0_system(t)[0]
-    tau_a, tau_b = tau_system(t, "a")[0], tau_system(t, "b")[0]
-    for s, z in enumerate(t.center):
-        assert lam[s] == {((i, j), o): c for i, x in enumerate(basis) for j, y in enumerate(basis)
-                          for o, c in enumerate(t.proj_m(multiply(z, lie_bracket(x, y))).coords)
-                          if c}
-        want = {}
+    basis = t.alg.basis()
+    for z in t.center:
         for u in t.m_indices:
-            zm = multiply(z, basis[u])
-            assert zm == multiply(t.proj_a(z), basis[u])
-            want.update(((u, o), c) for o, c in enumerate(zm.coords) if c)
-        assert alpha0[s] == want
-        for side, unit, part, col in (("a", t.e, t.proj_a(z), tau_a[s]),
-                                      ("b", t.f, t.proj_b(z), tau_b[s])):
-            assert multiply(z, unit) == part
-            assert col == {(side, o): c for o, c in enumerate(multiply(z, unit).coords) if c}
+            assert multiply(z, basis[u]) == multiply(t.proj_a(z), basis[u])
+        assert multiply(z, t.e) == t.proj_a(z)
+        assert multiply(z, t.f) == t.proj_b(z)
+    for kind, system, columns in systems(t):
+        count, index, _ = system
+        assert count == len(columns) == len(t.center), kind
+        assert index.keys() == set().union(*columns), kind
+        for column, z in zip(columns, center_rows(t)):
+            assert _central_solution(t, system, column) == z, kind
 
 
 UNIQUE_CASES = dict(CASES, crown=CROWN, t6k3=lambda: upper_triangular(6, 3),
@@ -208,8 +243,8 @@ def test_central_columns_are_independent(name):
     # z*f = pi_B(z) for tau_inv.  So the columns have rank dim Z, and each
     # system has at most one solution
     t = UNIQUE_CASES[name]()
-    for system in (_lambda_system(t), alpha0_system(t), tau_system(t, "a"), tau_system(t, "b")):
-        columns = system[0]
+    for _, system, columns in systems(t):
+        assert system[0] == len(columns)
         keys = {key: n for n, key in enumerate(sorted(set().union(*columns)))}
         entries = [(s, keys[key], v) for s, col in enumerate(columns) for key, v in col.items()]
         _, pivots = rref(SparseMatrix(len(columns), len(keys), entries))
@@ -245,7 +280,7 @@ def test_hand_built_systems_agree_with_solve():
             targets.append(combo)
             targets.append(shifted(rnd, combo, keys))                # mostly inconsistent
             targets.append(dict(combo, z=rnd.choice([-1, 1])))       # unreached key
-        assert assert_agree(t, system, targets) == {True, False}
+        assert assert_agree(t, system, columns, targets) == {True, False}
 
 
 def test_inconsistent_and_unreached_targets_give_none():

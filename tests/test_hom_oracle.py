@@ -1,12 +1,14 @@
 """The integer bimodule-hom system agrees with the dense reference.
 
 triangular.bimodule_hom_basis and standard_form_check (hypothesis cond_iii)
-build their rows from the integer product table; dense_oracle builds dense
-action matrices from Element arithmetic and reduces them by dense Gauss
-elimination.  Both must give the same canonical hom basis, the same
-standard-form generators and the same verdict, and hypothesis_report must
-report them, on the oracle algebras, T6 k=3, block [2,2,1] and on T3 with
-a non-integer structure constant.
+build their rows from the actions on eTf that triangular._action_matrix
+reads off a product table; dense_oracle builds dense action matrices from
+Element arithmetic and reduces them by dense Gauss elimination.  Both must
+give the same action of every A actor on the left and every B actor on
+the right, the same canonical hom basis, the same standard-form
+generators and the same verdict, and hypothesis_report must report them,
+on the oracle algebras, T6 k=3, block [2,2,1] and on T3 with a
+non-integer structure constant.
 """
 
 from fractions import Fraction
@@ -35,6 +37,12 @@ def test_hom_system_matches_dense_reference(name):
     dm = len(t.m_indices)
     homs = dense_oracle.bimodule_homs(t)
     gens = dense_oracle.standard_form_generators(t)
+    # the one action builder, read from the product table as it is
+    for side, left, actors in (("left", True, t.a_indices), ("right", False, t.b_indices)):
+        for g in actors:
+            want = tuple(x for row in dense_oracle.action_matrix(t, g, side) for x in row)
+            assert dense(triangular_module._action_matrix(t, t.alg._prod, g, left),
+                         dm * dm) == want, (side, g)
     assert bimodule_hom_basis(t) == list(homs)
     assert [dense(g, dm * dm) for g in triangular_module._standard_form_generators(t)] == gens
     assert standard_form_check(t) is dense_oracle.standard_form_check(t)
