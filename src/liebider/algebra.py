@@ -51,12 +51,13 @@ structure constants.
 
 A TriangularAlgebra keeps one such _cache too, filled through _cached, for
 what depends on its splitting: its two corner algebras, the bimodule hom
-basis and the central systems of tau, tau_inv, lambda0 and alpha0, each
-one tagged SpanChecker reduced once per nonzero right-hand side, kept
-without its columns.  Its entries hold no Element: a central system's
-solution is a sparse row of the center.  A corner is a FiniteAlgebra of
-its own, built once per side, so its tables and center sit in its own
-_cache and last as long as the triangular algebra does.
+system's integer kernel (not the canonical homs) and the central systems
+of tau, tau_inv, lambda0 and alpha0, each one tagged SpanChecker reduced
+once per nonzero right-hand side, kept without its columns.  Its entries
+hold no Element.  A corner is a FiniteAlgebra of its own, its table read
+off the product table's entries, built once per side, so its tables and
+center sit in its own _cache and last as long as the triangular algebra
+does.
 """
 
 from math import lcm
@@ -98,9 +99,6 @@ class FiniteAlgebra:
         self.unit = tuple(exact(u) for u in unit)
         self._cache = {}
         self._validate()
-
-    def _mul_basis(self, i, j):
-        return self._prod.get((i, j), {})
 
     def _validate(self):
         # unit law on basis vectors, over the unit's support
@@ -237,15 +235,16 @@ def multiply(x, y):
     """Product x·y via the structure tensor."""
     x._check(y)
     alg = x.algebra
+    prod = alg._prod
     out = [0] * alg.dim
     for i, xi in enumerate(x.coords):
         if xi == 0:
             continue
         for j, yj in enumerate(y.coords):
-            if yj == 0:
+            if yj == 0 or (i, j) not in prod:
                 continue
             s = xi * yj
-            for k, v in alg._mul_basis(i, j).items():
+            for k, v in prod[i, j].items():
                 out[k] += s * v
     return Element(alg, out)
 

@@ -10,7 +10,8 @@ matrices, and incidence algebras of finite posets.  All three are spanned by
 matrix units at a set of positions closed under composition, split by a sum
 of diagonal units, and built by one matrix-unit builder.  One function,
 _action_matrix, builds every action on M that the faithfulness check, the
-bimodule hom system and the standard-form generators of cond_iii read.
+bimodule hom system H·A − A·H = 0 and the standard-form generators of
+cond_iii read; a triangular algebra caches that system's integer kernel.
 """
 
 import random
@@ -103,13 +104,14 @@ class TriangularAlgebra:
     sides.  The split reads sparse rows of e·b_i and b_i·e off the product
     table, once per basis element, instead of taking dense products.  The
     center, from the integer bracket table, is computed eagerly.  What
-    depends on the triangular structure alone (the corner algebras, the
-    bimodule hom basis, the central systems of tau, tau_inv, lambda0 and
-    alpha0, each one tagged span from _center_system that solves a target
-    in one reduction, a zero one in none, kept without its columns) is
-    built on first use into _cache through algebra._cached; all queries
-    are pure.  Every query taking an Element raises MixedAlgebras on one
-    of another algebra.
+    depends on the triangular structure alone (the corner algebras, read
+    off the product table, the bimodule hom system's integer kernel, and
+    the central systems of tau, tau_inv, lambda0 and alpha0, each one
+    tagged span from _center_system that solves a target in one
+    reduction, a zero one in none, kept without its columns) is built on
+    first use into _cache through algebra._cached; all queries are pure.
+    Every query taking an Element raises MixedAlgebras on one of another
+    algebra.
     """
 
     __slots__ = ("alg", "e", "f", "a_indices", "m_indices", "b_indices",
@@ -220,11 +222,8 @@ def _corner_algebra(t, side):
     glob = t.a_indices if side == "a" else t.b_indices
     unit_el = t.e if side == "a" else t.f
     pos = {g: i for i, g in enumerate(glob)}
-    structure = {}
-    for a, ga in enumerate(glob):
-        for b, gb in enumerate(glob):
-            for k, v in t.alg._mul_basis(ga, gb).items():
-                structure[(a, b, pos[k])] = v
+    structure = {(pos[i], pos[j], pos[k]): v for (i, j), row in t.alg._prod.items()
+                 if i in pos and j in pos for k, v in row.items()}
     unit = [unit_el.coords[g] for g in glob]
     labels = [t.alg.basis_labels[g] for g in glob]
     return FiniteAlgebra(len(glob), labels, structure, unit), glob
@@ -345,29 +344,31 @@ def bimodule_hom_basis(t):
     """Canonical basis of the (A,B)-bimodule endomorphisms of eTf.
 
     A hom is a dm×dm matrix H over the eTf basis, h(m_j) = Σ_i H[i][j] m_i,
-    commuting with the left A-action and the right B-action.  The system
-    has one row per actor, j and output coordinate, with the generators of
-    each corner as the actors, acting by _action_matrix on the integer
-    product table (see _hom_rows), and is solved through linalg.echelon
-    and linalg.kernel.  Returned as tuples of row tuples, one per basis
-    hom, in the canonical nullspace order of the flattened (i, j) unknowns.
+    commuting with the left A-action and the right B-action: H·A = A·H for
+    the matrix A of each actor (see _hom_rows).  Each vector of the cached
+    integer kernel (_hom_kernel) is divided by its last entry and returned
+    as a tuple of row tuples, one per basis hom, in the canonical
+    nullspace order of the flattened (i, j) unknowns.
     """
-    return list(_cached(t, "homs", _bimodule_homs))
-
-
-def _bimodule_homs(t):
     dm = len(t.m_indices)
-    n = dm * dm
-    homs = (canonical_vector(x, n) for x in kernel(echelon(_hom_rows(t), n), n))
-    return tuple(tuple(tuple(vec[i * dm + j] for j in range(dm)) for i in range(dm))
-                 for vec in homs)
+    homs = (canonical_vector(x, dm * dm) for x in _hom_kernel(t))
+    return [tuple(vec[i * dm:(i + 1) * dm] for i in range(dm)) for vec in homs]
+
+
+def _hom_kernel(t):
+    """linalg.kernel of _hom_rows' echelon form, built once per triangular algebra."""
+    n = len(t.m_indices) ** 2
+    return _cached(t, "hom kernel", lambda t: kernel(echelon(_hom_rows(t), n), n))
 
 
 def _hom_rows(t):
-    """The rows of the bimodule hom system: h(a·m_j) = a·h(m_j) and
-    h(m_j·b) = h(m_j)·b, one row per (actor, j, o) over the unknowns
-    H[i][j] at i·dm + j, on the integer product table (every term carries
-    one table factor, so the kernel is unchanged).
+    """The rows of the bimodule hom system H·A − A·H = 0 over the unknowns
+    H[i][j] at i·dm + j, one row per actor and nonzero entry (x, y) of its
+    commutator, with A the actor's _action_matrix on the integer product
+    table (every term carries one table factor, so the kernel is
+    unchanged).  Each entry A[o][u] = p is visited once: for every x it
+    adds +p at H[x][o] to the row of (x, u) and −p at H[u][x] to the row
+    of (o, x).
 
     The actors are the _generators of each corner's own product table
     only.  The a in A with h(a·m) = a·h(m) for every m form a subalgebra,
@@ -379,20 +380,16 @@ def _hom_rows(t):
     for left, side in ((True, "a"), (False, "b")):
         corner, glob = t.corner(side)
         for g in _generators(corner._prod, corner.dim):
-            image = [{} for _ in range(dm)]  # image[u] = {o: p}: m_u goes to p at m_o
-            into = [[] for _ in range(dm)]  # into[o] = [(u, p)]
+            rows = {}
             for ou, p in _action_matrix(t, tab, glob[g], left).items():
                 o, u = divmod(ou, dm)
-                image[u][o] = p
-                into[o].append((u, p))
-            for j in range(dm):
-                for o in range(dm):
-                    row = {o * dm + u: p for u, p in image[j].items()}
-                    for u, p in into[o]:
-                        row[u * dm + j] = row.get(u * dm + j, 0) - p
-                    row = {col: v for col, v in row.items() if v}
-                    if row:
-                        yield row
+                for x in range(dm):
+                    row = rows.setdefault(x * dm + u, {})
+                    row[x * dm + o] = row.get(x * dm + o, 0) + p
+                    row = rows.setdefault(o * dm + x, {})
+                    row[u * dm + x] = row.get(u * dm + x, 0) - p
+            yield from filter(None, ({col: v for col, v in row.items() if v}
+                                     for row in rows.values()))
 
 
 def _standard_form_generators(t):
@@ -418,9 +415,7 @@ def _spans_equal(first, second, ncols):
 
 def standard_form_check(t):
     """True iff every bimodule hom has the form m → a₀m + mb₀ with central a₀, b₀."""
-    dm = len(t.m_indices)
-    homs = [tuple(x for row in h for x in row) for h in bimodule_hom_basis(t)]
-    return _spans_equal(homs, _standard_form_generators(t), dm * dm)[0]
+    return _spans_equal(_hom_kernel(t), _standard_form_generators(t), len(t.m_indices) ** 2)[0]
 
 
 def hypothesis_report(t):
@@ -452,7 +447,7 @@ def hypothesis_report(t):
     za = center_basis(corner_a)
     cond_iii = standard_form_check(t)
     details["cond_iii"] = {
-        "hom_dim": len(bimodule_hom_basis(t)),
+        "hom_dim": len(_hom_kernel(t)),
         "standard_generator_count": len(za) + len(center_basis(corner_b)),
         "equal_spans": cond_iii,
     }

@@ -5,7 +5,8 @@ integral, a Fraction otherwise.  The functions here redo the map and
 Element arithmetic with every value a Fraction, on plain dicts and
 lists, so the tests can check that the rule changes no value.
 rescaled() builds algebras whose tables have denominators, the inputs on
-which the library keeps Fractions.
+which the library keeps Fractions; peirce_unitriangular() builds dense
+tables with the same Peirce split.
 """
 
 from fractions import Fraction
@@ -80,6 +81,31 @@ def rescaled(t, factors):
              for i, j, k, v in alg.structure_items()]
     out = FiniteAlgebra(alg.dim, alg.basis_labels, items, alg.unit)
     return TriangularAlgebra(out, out.element(t.e.coords))
+
+
+def peirce_unitriangular(t):
+    """t on the basis c_i = b_i + sum of u_ij·b_j over the j > i in the
+    Peirce block (A, M or B) of b_i, u_ij = (i + j) % 3 - 1: a
+    unitriangular change of basis inside each block, so every c_i stays
+    Peirce-homogeneous while the table fills in and the unit and e change
+    coordinates.  Labels are kept; no diagonal indices are recorded."""
+    alg, dim = t.alg, t.alg.dim
+    block = {i: name for name, idx in (("a", t.a_indices), ("m", t.m_indices),
+                                       ("b", t.b_indices)) for i in idx}
+    u = [[int(i == j) or (j > i and block[i] == block[j]) * ((i + j) % 3 - 1)
+          for j in range(dim)] for i in range(dim)]
+    basis = [alg.element(row) for row in u]
+
+    def coords(v):
+        c = []
+        for j in range(dim):
+            c.append(v.coords[j] - sum(c[i] * u[i][j] for i in range(j)))
+        return c
+
+    items = [(i, j, k, v) for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+             for k, v in enumerate(coords(bi * bj)) if v]
+    out = FiniteAlgebra(dim, alg.basis_labels, items, coords(alg.unit_element()))
+    return TriangularAlgebra(out, out.element(coords(t.e)))
 
 
 def rescaled_t5():

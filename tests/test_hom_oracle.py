@@ -7,8 +7,13 @@ Element arithmetic and reduces them by dense Gauss elimination.  Both must
 give the same action of every A actor on the left and every B actor on
 the right, the same canonical hom basis, the same standard-form
 generators and the same verdict, and hypothesis_report must report them,
-on the oracle algebras, T6 k=3, block [2,2,1] and on T3 with a
-non-integer structure constant.
+on the oracle algebras, T6 k=3, block [2,2,1], T3 with a non-integer
+structure constant, the crown (the one case here whose hom span and
+standard span differ) and T4 and block [2,2] on a unitriangular basis
+inside each Peirce block, where each actor's matrix has several entries
+per row and column, so the commutator rows collect several terms.  Each
+corner's structure constants must be the Element products of its basis
+elements, read at the corner's coordinates.
 """
 
 from fractions import Fraction
@@ -16,15 +21,19 @@ from fractions import Fraction
 import pytest
 
 import dense_oracle
+import exact_reference
 from liebider import (block_upper_triangular, bimodule_hom_basis, hypothesis_report,
                       standard_form_check, upper_triangular)
 from liebider import triangular as triangular_module
 from test_bider import t3_scaled
-from test_decompose_oracle import ALGEBRAS
+from test_decompose_oracle import ALGEBRAS, CROWN
 
-CASES = dict(ALGEBRAS, t3_scaled=t3_scaled,
+CASES = dict(ALGEBRAS, t3_scaled=t3_scaled, crown=CROWN,
              t6k3=lambda: upper_triangular(6, 3),
-             block221=lambda: block_upper_triangular([2, 2, 1], 1))
+             block221=lambda: block_upper_triangular([2, 2, 1], 1),
+             t4_dense=lambda: exact_reference.peirce_unitriangular(upper_triangular(4, 2)),
+             block22_dense=lambda: exact_reference.peirce_unitriangular(
+                 block_upper_triangular([2, 2], 1)))
 
 
 def dense(row, n):
@@ -49,6 +58,17 @@ def test_hom_system_matches_dense_reference(name):
     assert hypothesis_report(t).details["cond_iii"] == {
         "hom_dim": len(homs), "standard_generator_count": len(gens),
         "equal_spans": dense_oracle.standard_form_check(t)}
+    # each corner's table, restricted from the algebra's, against Element products
+    basis = t.alg.basis()
+    for side in "ab":
+        corner, glob = t.corner(side)
+        want = []
+        for a, ga in enumerate(glob):
+            for b, gb in enumerate(glob):
+                coords = (basis[ga] * basis[gb]).coords
+                assert not any(v for g, v in enumerate(coords) if g not in glob), (side, a, b)
+                want += [(a, b, k, coords[g]) for k, g in enumerate(glob) if coords[g]]
+        assert corner.structure_items() == want, side
 
 
 @pytest.mark.parametrize("name", ["t3", "block22"])
